@@ -10,7 +10,8 @@ Subcommands:
 
 Defaults for k, threshold, seed and threads can be overridden with the
 TEXTMASK_K, TEXTMASK_T, TEXTMASK_SEED and TEXTMASK_THREADS environment
-variables.
+variables. argparse converts them like command-line values, so a bad value
+is a usage error (exit code 2), and an explicit flag wins over the variable.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import analysis
@@ -43,17 +42,6 @@ from .maskers import (
 from .postag import DEFAULT_LEXICON, load_lexicon_file, load_pretagged, tag
 from .tokenizer import tokenize
 
-_CHUNK = 1024
-
-
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
-
-
-def _env_float(name: str, default: float) -> float:
-    return float(os.environ.get(name, default))
-
-
 # --- corpus masking pipeline --------------------------------------------------
 
 
@@ -76,31 +64,17 @@ def mask_records(
     config: MaskingConfig,
     pretagged: bool = False,
     lexicon: Mapping[str, str] | None = None,
-    threads: int = 1,
 ) -> Iterator[tuple[CaptionRecord, MaskedOutput]]:
-    """Mask a record stream, yielding results in input order.
+    """Mask a record stream in one thread, yielding results in input order.
 
     Each record's seed depends only on (config.seed, config.epoch,
-    record.index), so any thread count produces identical output.
+    record.index), so the output does not depend on processing order.
     """
     want_tags = config.strategy == "syntax"
-
-    def work(record: CaptionRecord) -> tuple[CaptionRecord, MaskedOutput]:
+    for record in records:
         tokens, tags = prepare_record(record, pretagged, lexicon, want_tags)
         seed = record_seed(config.seed, record.index, config.epoch)
-        return record, apply_mask(tokens, config, tags=tags, seed=seed)
-
-    if threads <= 1:
-        for record in records:
-            yield work(record)
-        return
-    it = iter(records)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            chunk = list(islice(it, _CHUNK))
-            if not chunk:
-                break
-            yield from pool.map(work, chunk)
+        yield record, apply_mask(tokens, config, tags=tags, seed=seed)
 
 
 # --- shared argument plumbing -------------------------------------------------
@@ -112,11 +86,14 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_masking_args(p: argparse.ArgumentParser, freq_table_required: bool = False) -> None:
-    p.add_argument("--k", type=int, default=_env_int("TEXTMASK_K", 8),
-                   help="number of tokens to keep per caption")
-    p.add_argument("--t", type=float, default=_env_float("TEXTMASK_T", DEFAULT_THRESHOLD),
-                   help="relative-frequency threshold for frequency/swclip")
-    p.add_argument("--seed", type=int, default=_env_int("TEXTMASK_SEED", 0), help="run seed")
+    p.add_argument("--k", type=int, default=os.environ.get("TEXTMASK_K", "8"),
+                   help="number of tokens to keep per caption (default: $TEXTMASK_K or 8)")
+    p.add_argument("--t", type=float,
+                   default=os.environ.get("TEXTMASK_T", str(DEFAULT_THRESHOLD)),
+                   help="relative-frequency threshold for frequency/swclip "
+                        f"(default: $TEXTMASK_T or {DEFAULT_THRESHOLD})")
+    p.add_argument("--seed", type=int, default=os.environ.get("TEXTMASK_SEED", "0"),
+                   help="run seed (default: $TEXTMASK_SEED or 0)")
     p.add_argument("--epoch", type=int, default=0,
                    help="epoch number mixed into per-record seeds")
     p.add_argument("--freq-table", metavar="PATH", required=freq_table_required,
@@ -144,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--output", required=True, help="masked corpus file to write")
     p_mask.add_argument("--output-format", choices=FORMATS, default=None,
                         help="output format (default: same as --format)")
-    p_mask.add_argument("--threads", type=int, default=_env_int("TEXTMASK_THREADS", 1),
-                        help="worker threads (output is identical for any value)")
+    p_mask.add_argument("--threads", type=int, default=os.environ.get("TEXTMASK_THREADS", "1"),
+                        help="accepted for compatibility; masking runs in one thread, "
+                             "so output is identical for any value "
+                             "(default: $TEXTMASK_THREADS or 1)")
 
     p_demo = sub.add_parser("demo", help="show every strategy on one caption")
     p_demo.add_argument("--caption", required=True, help="caption text")
@@ -210,7 +189,6 @@ def _parse_strategies(parser: argparse.ArgumentParser, value: str) -> list[str]:
 
 
 def _freq_table_for(
-    parser: argparse.ArgumentParser,
     args: argparse.Namespace,
     strategies: Sequence[str],
     corpus: Sequence[Sequence[str]],
@@ -243,8 +221,7 @@ def cmd_mask(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                            epoch=args.epoch, freq_table=table)
     lexicon = _load_lexicon_arg(args)
     records = read_corpus(args.input, args.format)
-    pairs = mask_records(records, config, pretagged=args.pretagged,
-                         lexicon=lexicon, threads=args.threads)
+    pairs = mask_records(records, config, pretagged=args.pretagged, lexicon=lexicon)
     count = write_masked(pairs, args.output, args.output_format or args.format)
     print(f"masked {count} captions -> {args.output}")
     return 0
@@ -299,7 +276,7 @@ def _analyze_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser):
         token_lists.append(tokens)
         if tags is not None:
             tag_lists.append(tags)
-    table = _freq_table_for(parser, args, strategies, token_lists)
+    table = _freq_table_for(args, strategies, token_lists)
     masked: dict[str, list[MaskedOutput]] = {}
     for strategy in strategies:
         config = MaskingConfig(strategy, k=args.k, t=args.t, seed=args.seed,

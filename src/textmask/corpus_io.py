@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -37,6 +38,10 @@ def open_text_read(path: str) -> IO[str]:
 
 
 def open_text_write(path: str) -> IO[str]:
+    # Unlink an old regular file rather than truncate it: ext4 flushes a
+    # truncated-and-rewritten file to disk on close, blocking the writer.
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.unlink(path)
     if str(path).endswith(".gz"):
         return gzip.open(path, "wt", encoding="utf-8")
     return open(path, "w", encoding="utf-8")

@@ -2,12 +2,16 @@
 
 The masking probability of a word with relative frequency f is
 
-    P = 1 - sqrt(t / f)
+    P = 1 - √(t/f)
 
 clamped to [0, 1], where t is a dimensionless threshold (default 1e-6).
 Words at or below the threshold are never masked; the probability grows
 toward 1 as f grows, so frequent words are removed aggressively while the
 frequency ranking of the vocabulary is preserved.
+
+``subsample_probability`` is the one definition of P. ``FrequencyTable``
+is frozen and caches, per threshold, a map from each distinct count to its
+P; the maskers and ``mask_probability`` all read that map.
 """
 
 from __future__ import annotations
@@ -26,16 +30,23 @@ def validate_threshold(t: float) -> float:
     return t
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrequencyTable:
-    """Word -> occurrence count map over a corpus. Immutable after build.
+    """Word -> occurrence count map over a corpus. Frozen after build.
 
     ``total`` is the total token count, so ``counts[w] / total`` is the
     relative frequency of ``w``. Every stored count is >= 1.
+
+    The fields cannot be reassigned, and ``counts`` must not be mutated in
+    place either: the probability maps cached by ``probabilities`` are
+    derived from it and would go stale.
     """
 
     counts: dict[str, int] = field(default_factory=dict)
     total: int = 0
+    _probabilities: dict[float, dict[int, float]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __contains__(self, word: str) -> bool:
         return word in self.counts
@@ -46,6 +57,23 @@ class FrequencyTable:
     def relative_frequency(self, word: str) -> float:
         """Relative frequency of a stored word, in (0, 1]. KeyError if unknown."""
         return self.counts[word] / self.total
+
+    def probabilities(self, t: float) -> dict[int, float]:
+        """Map each distinct stored count to its masking probability at ``t``.
+
+        Keyed by count rather than by word: a Zipfian vocabulary has far
+        fewer distinct counts than words. Built once per ``t`` and cached;
+        ValueError if ``t`` is outside (0, 1).
+        """
+        probs = self._probabilities.get(t)
+        if probs is None:
+            validate_threshold(t)
+            probs = {
+                count: subsample_probability(count / self.total, t)
+                for count in set(self.counts.values())
+            }
+            self._probabilities[t] = probs
+        return probs
 
 
 def build_frequency_table(corpus: Iterable[Sequence[str]]) -> FrequencyTable:
@@ -87,25 +115,12 @@ def subsample_probability(rel_freq: float, t: float = DEFAULT_THRESHOLD) -> floa
     return p if p < 1.0 else 1.0
 
 
-def mask_probability(
-    word: str,
-    table: FrequencyTable,
-    t: float = DEFAULT_THRESHOLD,
-    diagnostics: set[str] | None = None,
-) -> float:
+def mask_probability(word: str, table: FrequencyTable, t: float = DEFAULT_THRESHOLD) -> float:
     """Masking probability of ``word`` under ``table``.
 
-    Unknown words return 0.0 (treated as arbitrarily rare, never masked);
-    when ``diagnostics`` is given, "unknown-word" is added to it so callers
-    can surface the condition.
+    Unknown words return 0.0 (treated as arbitrarily rare, never masked).
     """
-    count = table.counts.get(word)
-    if count is None:
-        validate_threshold(t)
-        if diagnostics is not None:
-            diagnostics.add("unknown-word")
-        return 0.0
-    return subsample_probability(count / table.total, t)
+    return table.probabilities(t).get(table.counts.get(word), 0.0)
 
 
 def probability_curve(

@@ -29,12 +29,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .freq import DEFAULT_THRESHOLD, FrequencyTable, mask_probability, validate_threshold
+from .freq import DEFAULT_THRESHOLD, FrequencyTable, validate_threshold
 
 STRATEGIES = ("truncation", "random", "block", "syntax", "frequency", "swclip")
-
-# Strategies that resample each epoch; the remaining two ignore the seed.
-STOCHASTIC_STRATEGIES = frozenset({"random", "block", "frequency", "swclip"})
 
 # Strategies whose masking decision needs a frequency table.
 FREQUENCY_STRATEGIES = frozenset({"frequency", "swclip"})
@@ -181,27 +178,19 @@ def mask_frequency(
     input slot is used.
     """
     _check_k(k)
-    validate_threshold(t)
+    probs = table.probabilities(t)
     n = len(tokens)
     if n <= k:
         return _identity(tokens, "frequency")
     rng = random.Random(seed)
-    # Hot path for corpus-scale runs: probability lookup inlined (identical
-    # arithmetic to mask_probability, so seeded streams are unaffected).
     counts = table.counts
-    total = table.total
     rand = rng.random
-    log, sqrt = math.log, math.sqrt
+    log = math.log
     keys = []
     for tok in tokens:
-        count = counts.get(tok)
-        w = WEIGHT_FLOOR
-        if count is not None:
-            f = count / total
-            if f > t:
-                w = 1.0 - sqrt(t / f)
-                if w < WEIGHT_FLOOR:
-                    w = WEIGHT_FLOOR
+        w = probs.get(counts.get(tok), 0.0)
+        if w < WEIGHT_FLOOR:
+            w = WEIGHT_FLOOR
         # Exponential race: key ~ Exp(w); the n-k smallest keys are removed.
         keys.append(-log(1.0 - rand()) / w)
     ranked = sorted(range(n), key=keys.__getitem__)
@@ -222,10 +211,12 @@ def mask_swclip(
     input slots, unlike every other strategy here.
     """
     _check_k(k)
+    probs = table.probabilities(t)
+    counts = table.counts
     rng = random.Random(seed)
     kept: list[int] = []
     for i, tok in enumerate(tokens):
-        if rng.random() >= mask_probability(tok, table, t):
+        if rng.random() >= probs.get(counts.get(tok), 0.0):
             kept.append(i)
     return _select(tokens, kept[:k], "swclip")
 

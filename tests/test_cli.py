@@ -289,3 +289,27 @@ class TestErrorHandling:
             "--output", out_path)
         first = open(out_path, encoding="utf-8").readline().strip()
         assert len(first.split()) == 2
+
+    @pytest.mark.parametrize("name,value", [
+        ("TEXTMASK_K", "abc"), ("TEXTMASK_T", "tiny"),
+        ("TEXTMASK_SEED", "1.5"), ("TEXTMASK_THREADS", "many"),
+    ])
+    def test_bad_env_value_is_usage_error(self, tmp_path, capsys, monkeypatch, toy_corpus,
+                                          name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["mask", "--input", toy_corpus, "--strategy", "truncation",
+                  "--output", str(tmp_path / "m.txt")])
+        assert exc.value.code == 2
+        assert f"invalid {'float' if name == 'TEXTMASK_T' else 'int'} value: '{value}'" \
+            in capsys.readouterr().err
+
+    def test_explicit_flag_overrides_bad_env_value(self, tmp_path, capsys, monkeypatch,
+                                                   toy_corpus):
+        monkeypatch.setenv("TEXTMASK_K", "abc")
+        out_path = str(tmp_path / "m.txt")
+        code, _, _ = run(capsys, "mask", "--input", toy_corpus, "--strategy", "truncation",
+                         "--k", "3", "--output", out_path)
+        assert code == 0
+        first = open(out_path, encoding="utf-8").readline().strip()
+        assert len(first.split()) == 3

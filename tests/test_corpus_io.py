@@ -1,9 +1,10 @@
 import gzip
 import json
+import os
 
 import pytest
 
-from textmask.corpus_io import CaptionRecord, read_corpus, write_masked
+from textmask.corpus_io import CaptionRecord, open_text_write, read_corpus, write_masked
 from textmask.maskers import mask_truncation
 
 
@@ -115,3 +116,37 @@ class TestWriteMasked:
         back = list(read_corpus(path, "tsv"))
         assert [r.text for r in back] == texts
         assert [r.id for r in back] == ["1", "2"]
+
+
+class TestOpenTextWrite:
+    def test_overwrite_replaces_file_instead_of_truncating(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\nlonger old content\n", encoding="utf-8")
+        old = tmp_path / "old.txt"
+        os.link(path, old)
+        with open_text_write(str(path)) as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert old.read_text(encoding="utf-8") == "old\nlonger old content\n"
+
+    def test_overwrite_gzip(self, tmp_path):
+        path = tmp_path / "out.txt.gz"
+        path.write_bytes(b"not gzip")
+        with open_text_write(str(path)) as fh:
+            fh.write("new\n")
+        assert gzip.decompress(path.read_bytes()) == b"new\n"
+
+    def test_symlink_target_written_through(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        with open_text_write(str(link)) as fh:
+            fh.write("new\n")
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == "new\n"
+
+    def test_device_target_written_in_place(self):
+        with open_text_write(os.devnull) as fh:
+            fh.write("discarded\n")
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)

@@ -1,7 +1,10 @@
+import dataclasses
 import io
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from textmask.freq import (
     FrequencyTable,
@@ -112,15 +115,11 @@ class TestMaskProbability:
 
     def test_unknown_word_returns_zero_and_flags(self):
         table = self.table_with_rel_freq(0.5)
-        diagnostics: set[str] = set()
-        assert mask_probability("nope", table, self.T, diagnostics) == 0.0
-        assert "unknown-word" in diagnostics
+        assert mask_probability("nope", table, self.T) == 0.0
 
     def test_known_word_does_not_flag(self):
         table = self.table_with_rel_freq(0.5)
-        diagnostics: set[str] = set()
-        assert mask_probability("w", table, self.T, diagnostics) > 0.0
-        assert not diagnostics
+        assert mask_probability("w", table, self.T) > 0.0
 
     def test_rank_preservation(self):
         # counts[u] >= counts[v] implies P(u) >= P(v)
@@ -140,6 +139,40 @@ class TestMaskProbability:
             subsample_probability(0.5, 0.0)
         with pytest.raises(ValueError):
             subsample_probability(0.5, 1.0)
+
+    @given(
+        counts=st.dictionaries(st.text(min_size=1), st.integers(1, 10**12),
+                               min_size=1, max_size=40),
+        unknown=st.text(),
+        t1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        t2=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_cached_map_matches_formula(self, counts, unknown, t1, t2):
+        table = FrequencyTable(counts, sum(counts.values()))
+        first = dict(table.probabilities(t1))
+        for t in (t1, t2):
+            for word, count in counts.items():
+                assert mask_probability(word, table, t) == subsample_probability(
+                    count / table.total, t)
+            if unknown not in counts:
+                assert mask_probability(unknown, table, t) == 0.0
+        assert table.probabilities(t1) == first
+
+
+class TestFrozenTable:
+    def test_fields_cannot_be_reassigned(self):
+        table = build_frequency_table([["a", "b", "a"]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.total = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.counts = {}
+        assert table.total == 3
+
+    def test_cache_does_not_affect_equality(self):
+        a = build_frequency_table([["a", "b", "a"]])
+        b = build_frequency_table([["a", "b", "a"]])
+        a.probabilities(0.1)
+        assert a == b
 
 
 class TestProbabilityCurve:

@@ -3,7 +3,12 @@ from collections import Counter
 
 import pytest
 
-from textmask.freq import FrequencyTable, build_frequency_table
+from textmask.freq import (
+    FrequencyTable,
+    build_frequency_table,
+    mask_probability,
+    subsample_probability,
+)
 from textmask.maskers import (
     STRATEGIES,
     MaskingConfig,
@@ -229,6 +234,52 @@ class TestSwclip:
             sw_len += len(mask_swclip(toks, table, t, k, seed).kept)
             freq_len += len(mask_frequency(toks, table, t, k, seed).kept)
         assert sw_len / len(corpus) < freq_len / len(corpus)
+
+
+class TestSeededStreams:
+    """kept_indices pinned from the seeded streams, so a refactor of the
+    probability lookup that moves a single RNG draw or weight fails here."""
+
+    TABLE = FrequencyTable({"the": 40, "a": 25, "dog": 6, "runs": 3, "park": 2,
+                            "in": 20, "red": 1, "cat": 3}, 100)
+    CAPTION = tokenize("the dog runs in the park and a red cat runs in the zoo near a dog")
+
+    # (tokens, t, k, seed, frequency kept_indices, swclip kept_indices)
+    CASES = [
+        (CAPTION, 0.01, 4, 0, [6, 8, 13, 14], [0, 1, 5, 6]),
+        (CAPTION, 0.01, 8, 12345, [2, 6, 8, 9, 10, 13, 14, 16], [2, 6, 8, 9, 10, 13, 14, 16]),
+        (CAPTION, 0.05, 3, 7, [2, 9, 13], [1, 2, 5]),
+        (CAPTION, 1e-6, 5, 2**63 + 11, [1, 6, 7, 13, 14], [6, 13, 14]),
+        (["the", "the", "the", "zebra", "yak", "a"], 0.2, 2, 99, [3, 4], [0, 3]),
+    ]
+
+    @pytest.mark.parametrize("tokens,t,k,seed,freq_kept,swclip_kept", CASES)
+    def test_golden_kept_indices(self, tokens, t, k, seed, freq_kept, swclip_kept):
+        assert mask_frequency(tokens, self.TABLE, t, k, seed).kept_indices == freq_kept
+        assert mask_swclip(tokens, self.TABLE, t, k, seed).kept_indices == swclip_kept
+
+
+class TestThresholdValidation:
+    TABLE = FrequencyTable({"a": 3, "b": 1}, 4)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 5.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("call", [
+        lambda table, t: table.probabilities(t),
+        lambda table, t: FrequencyTable().probabilities(t),
+        lambda table, t: subsample_probability(0.5, t),
+        lambda table, t: mask_probability("a", table, t),
+        lambda table, t: mask_probability("unknown", table, t),
+        lambda table, t: mask_frequency(["a", "b", "a"], table, t, 1, 0),
+        lambda table, t: mask_frequency(["a"], table, t, 3, 0),
+        lambda table, t: mask_swclip(["a", "b"], table, t, 3, 0),
+        lambda table, t: mask_swclip([], table, t, 3, 0),
+        lambda table, t: MaskingConfig("frequency", t=t, freq_table=table),
+    ], ids=["probabilities", "probabilities-empty-table", "subsample_probability",
+            "mask_probability-known", "mask_probability-unknown", "frequency",
+            "frequency-short", "swclip", "swclip-empty", "config"])
+    def test_invalid_threshold_rejected_on_every_path(self, call, t):
+        with pytest.raises(ValueError, match="threshold"):
+            call(self.TABLE, t)
 
 
 class TestRecordSeed:
