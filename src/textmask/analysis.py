@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .maskers import MaskedOutput
 from .postag import CATEGORIES
@@ -59,30 +59,24 @@ class DistributionReport:
 
 def distribution_report(
     before: Sequence[Sequence[str]],
-    after: Mapping[str, Sequence[MaskedOutput]],
+    after: Mapping[str, Iterable[MaskedOutput]],
     top_n: int = 50,
 ) -> DistributionReport:
     """Top ``top_n`` words by original count with per-strategy counts after.
 
     Special-character tokens are excluded from the vocabulary on both
     sides. Ranks follow descending original count, ties lexicographic.
-    Every strategy must cover the same records as ``before``.
+    Each strategy's output stream is read once and must match ``before``.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    for strategy, outputs in after.items():
-        if len(outputs) != len(before):
-            raise ValueError(
-                f"record count mismatch: {len(before)} before vs "
-                f"{len(outputs)} for strategy {strategy!r}"
-            )
     before_counts: Counter[str] = Counter()
     for tokens in before:
         before_counts.update(strip_special(tokens))
     after_counts: dict[str, Counter[str]] = {}
     for strategy, outputs in after.items():
         counts: Counter[str] = Counter()
-        for output in outputs:
+        for output in _exactly(outputs, len(before), "before", strategy):
             counts.update(strip_special(output.kept))
         after_counts[strategy] = counts
     ranked = sorted(before_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
@@ -96,6 +90,20 @@ def distribution_report(
         for i, (word, count) in enumerate(ranked, start=1)
     ]
     return DistributionReport(list(after), rows)
+
+
+def _exactly(
+    outputs: Iterable[MaskedOutput], expected: int, what: str, strategy: str
+) -> Iterator[MaskedOutput]:
+    """Yield at most ``expected`` outputs; ValueError unless there were exactly that many."""
+    count = 0
+    for count, output in enumerate(outputs, start=1):
+        if count <= expected:
+            yield output
+    if count != expected:
+        raise ValueError(
+            f"record count mismatch: {expected} {what} vs {count} for strategy {strategy!r}"
+        )
 
 
 def write_distribution_csv(report: DistributionReport, fh: IO[str]) -> None:
@@ -135,25 +143,21 @@ class PosShareReport:
 
 def pos_share_report(
     tags: Sequence[Sequence[str]],
-    masked: Mapping[str, Sequence[MaskedOutput]],
+    masked: Mapping[str, Iterable[MaskedOutput]],
 ) -> PosShareReport:
     """Category counts over all tokens ("before" row) and over each
-    strategy's retained tokens."""
-    rows = [PosShareRow("before", _count_categories(tag_list for tag_list in tags))]
+    strategy's retained tokens, reading each strategy's outputs once."""
+    rows = [PosShareRow("before", _count_categories(tags))]
     for strategy, outputs in masked.items():
-        if len(outputs) != len(tags):
-            raise ValueError(
-                f"record count mismatch: {len(tags)} tag lists vs "
-                f"{len(outputs)} for strategy {strategy!r}"
-            )
         kept_tags = (
-            [tags[r][i] for i in output.kept_indices] for r, output in enumerate(outputs)
+            [tags[r][i] for i in output.kept_indices]
+            for r, output in enumerate(_exactly(outputs, len(tags), "tag lists", strategy))
         )
         rows.append(PosShareRow(strategy, _count_categories(kept_tags)))
     return PosShareReport(rows)
 
 
-def _count_categories(tag_lists) -> dict[str, int]:
+def _count_categories(tag_lists: Iterable[Sequence[str]]) -> dict[str, int]:
     counts: Counter[str] = Counter()
     for tag_list in tag_lists:
         counts.update(tag_list)
@@ -262,7 +266,7 @@ def write_stats_csv(stats: CorpusStats, fh: IO[str]) -> None:
 # --- slot utilization ----------------------------------------------------
 
 
-def slot_utilization(masked: Sequence[MaskedOutput], k: int) -> float:
+def slot_utilization(masked: Iterable[MaskedOutput], k: int) -> float:
     """Mean filled fraction of the keep-budget: |kept| / min(n, k) per record.
 
     Empty captions (n = 0) have no slots to fill and are skipped; with no

@@ -191,7 +191,7 @@ def _parse_strategies(parser: argparse.ArgumentParser, value: str) -> list[str]:
 def _freq_table_for(
     args: argparse.Namespace,
     strategies: Sequence[str],
-    corpus: Sequence[Sequence[str]],
+    corpus: Iterable[Sequence[str]],
 ) -> FrequencyTable | None:
     """Load --freq-table, or build one from the corpus when a frequency
     strategy needs it and no file was given."""
@@ -265,30 +265,24 @@ def _emit_csv(args: argparse.Namespace, write) -> None:
 
 
 def _analyze_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Materialize tokens/tags and mask with every requested strategy."""
+    """Prepare the corpus once; return it and one lazy, one-shot output stream per strategy."""
     strategies = _parse_strategies(parser, args.strategies)
     lexicon = _load_lexicon_arg(args)
     want_tags = "syntax" in strategies or args.report == "pos"
-    token_lists: list[list[str]] = []
-    tag_lists: list[list[str]] = []
-    for record in read_corpus(args.input, args.format):
-        tokens, tags = prepare_record(record, args.pretagged, lexicon, want_tags)
-        token_lists.append(tokens)
-        if tags is not None:
-            tag_lists.append(tags)
-    table = _freq_table_for(args, strategies, token_lists)
-    masked: dict[str, list[MaskedOutput]] = {}
-    for strategy in strategies:
-        config = MaskingConfig(strategy, k=args.k, t=args.t, seed=args.seed,
-                               epoch=args.epoch,
-                               freq_table=table if strategy in FREQUENCY_STRATEGIES else None)
-        masked[strategy] = [
-            apply_mask(tokens, config,
-                       tags=tag_lists[i] if tag_lists else None,
-                       seed=record_seed(args.seed, i, args.epoch))
-            for i, tokens in enumerate(token_lists)
-        ]
-    return strategies, token_lists, tag_lists, masked
+    prepared = [prepare_record(record, args.pretagged, lexicon, want_tags)
+                for record in read_corpus(args.input, args.format)]
+    table = _freq_table_for(args, strategies, (tokens for tokens, _ in prepared))
+
+    def stream(config: MaskingConfig) -> Iterator[MaskedOutput]:
+        for i, (tokens, tags) in enumerate(prepared):
+            yield apply_mask(tokens, config, tags=tags, seed=record_seed(args.seed, i, args.epoch))
+
+    return prepared, {
+        strategy: stream(MaskingConfig(
+            strategy, k=args.k, t=args.t, seed=args.seed, epoch=args.epoch,
+            freq_table=table if strategy in FREQUENCY_STRATEGIES else None))
+        for strategy in strategies
+    }
 
 
 def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -321,10 +315,11 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         _emit_csv(args, lambda fh: analysis.write_stats_csv(stats, fh))
         return 0
 
-    strategies, token_lists, tag_lists, masked = _analyze_corpus(args, parser)
+    prepared, masked = _analyze_corpus(args, parser)
 
     if args.report == "dist":
-        report = analysis.distribution_report(token_lists, masked, args.top_n)
+        report = analysis.distribution_report([tokens for tokens, _ in prepared], masked,
+                                              args.top_n)
         width = max((len(r.word) for r in report.rows), default=4)
         header = f"{'rank':>4} {'word':<{width}} {'before':>8} " + " ".join(
             f"{s:>10}" for s in report.strategies)
@@ -336,7 +331,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         return 0
 
     if args.report == "pos":
-        report = analysis.pos_share_report(tag_lists, masked)
+        report = analysis.pos_share_report([tags for _, tags in prepared], masked)
         print(f"{'strategy':<12} " + " ".join(f"{c:>8}" for c in analysis.CATEGORIES)
               + f" {'total':>10}")
         for row in report.rows:
@@ -347,7 +342,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         return 0
 
     assert args.report == "slots"
-    utilization = {s: analysis.slot_utilization(masked[s], args.k) for s in strategies}
+    utilization = {s: analysis.slot_utilization(outputs, args.k) for s, outputs in masked.items()}
     for strategy, value in utilization.items():
         print(f"{strategy:<12} {value:.6f}")
     _emit_csv(args, lambda fh: analysis.write_slots_csv(utilization, fh))

@@ -6,13 +6,15 @@ Formats:
     jsonl   one JSON object per line with "caption" (required) and "id"
 
 Everything is UTF-8; a ``.gz`` suffix gets transparent gzip handling.
-Output order always matches input order, whatever the processing
-parallelism, so image/text pairings are never disturbed; empty masked
-captions are still emitted.
+Lines end at ``\n`` (a trailing ``\r`` is dropped, so CRLF files read the
+same); a lone ``\r`` stays inside its line. Output order always matches
+input order, so image/text pairings are never disturbed; empty masked
+captions are still emitted. Output files appear only once complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import os
@@ -31,20 +33,44 @@ class CaptionRecord:
     text: str
 
 
+def _open_text(path: str, mode: str, gz: bool) -> IO[str]:
+    # newline="\n": lines end at \n only, so a lone \r stays inside its line.
+    if gz:
+        return gzip.open(path, mode + "t", encoding="utf-8", newline="\n")
+    return open(path, mode, encoding="utf-8", newline="\n")
+
+
 def open_text_read(path: str) -> IO[str]:
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+    return _open_text(path, "r", str(path).endswith(".gz"))
 
 
-def open_text_write(path: str) -> IO[str]:
-    # Unlink an old regular file rather than truncate it: ext4 flushes a
-    # truncated-and-rewritten file to disk on close, blocking the writer.
-    if os.path.isfile(path) and not os.path.islink(path):
+@contextlib.contextmanager
+def open_text_write(path: str) -> Iterator[IO[str]]:
+    """Write ``path`` as a whole or not at all.
+
+    A missing path or regular file is written to ``<path>.<pid>.tmp`` and
+    moved into place when the block exits cleanly; on error the temp file
+    is removed and the old file is left as it was. A symlink, device or
+    pipe is written through in place.
+    """
+    gz = str(path).endswith(".gz")
+    if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+        with _open_text(path, "w", gz) as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = _open_text(tmp, "x", gz)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    # Unlink the old file rather than rename over it: ext4 flushes a file
+    # that replaces an existing one to disk at once, blocking the writer.
+    if os.path.lexists(path):
         os.unlink(path)
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "wt", encoding="utf-8")
-    return open(path, "w", encoding="utf-8")
+    os.rename(tmp, path)
 
 
 def _check_format(format: str) -> None:
@@ -57,7 +83,7 @@ def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
     _check_format(format)
     with open_text_read(path) as fh:
         for index, line in enumerate(fh):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if format == "plain":
                 yield CaptionRecord(index, str(index), line)
             elif format == "tsv":
@@ -84,7 +110,8 @@ def write_masked(
     """Write masked captions (kept tokens joined by single spaces).
 
     Returns the number of records written. One output record per input
-    record, in input order.
+    record, in input order. A tsv id holding a tab or line break is a
+    ValueError, since it would split its record.
     """
     _check_format(format)
     written = 0
@@ -94,6 +121,9 @@ def write_masked(
             if format == "plain":
                 fh.write(text + "\n")
             elif format == "tsv":
+                if any(c in record.id for c in "\t\n\r"):
+                    raise ValueError(f"record {record.index}: id {record.id!r} contains a tab "
+                                     "or line break and cannot be written as tsv")
                 fh.write(f"{record.id}\t{text}\n")
             else:
                 fh.write(json.dumps({"id": record.id, "caption": text}, ensure_ascii=False) + "\n")

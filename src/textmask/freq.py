@@ -166,7 +166,7 @@ def parse_frequency_table(lines: Iterator[str], source: str = "<stream>") -> Fre
         raise ValueError(f"{source}: malformed total in header: {header.strip()!r}") from None
     counts: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=2):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line:
             continue
         word, sep, count_str = line.partition("\t")

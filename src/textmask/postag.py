@@ -91,7 +91,7 @@ def load_lexicon(lines: Iterable[str], source: str = "<stream>") -> dict[str, st
     """Parse "<word>\\t<TAG>" lines into a lexicon; duplicates are an error."""
     lexicon: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line:
             continue
         word, sep, rawtag = line.partition("\t")

@@ -1,8 +1,12 @@
+import gzip
+import json
 import random
+import tracemalloc
 
 import pytest
 
 from textmask.cli import main
+from textmask.maskers import STRATEGIES
 
 CAPTION = (
     "Walk of the happy young couple and Siberian dog. "
@@ -313,3 +317,75 @@ class TestErrorHandling:
         assert code == 0
         first = open(out_path, encoding="utf-8").readline().strip()
         assert len(first.split()) == 3
+
+
+class TestLineEndingsCli:
+    def test_lone_cr_keeps_record_count(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"a dog\rruns fast\nthe cat\n")
+        out = tmp_path / "m.txt"
+        code, stdout, _ = run(capsys, "mask", "--input", str(corpus), "--strategy", "truncation",
+                              "--k", "3", "--output", str(out))
+        assert code == 0 and "masked 2 captions" in stdout
+        assert out.read_text(encoding="utf-8") == "a dog runs\nthe cat\n"
+
+    @pytest.mark.parametrize("strategy", ["frequency", "syntax", "random"])
+    def test_crlf_corpus_masks_like_its_lf_twin(self, tmp_path, capsys, toy_corpus, strategy):
+        lf = open(toy_corpus, "rb").read()
+        crlf = tmp_path / "toy_crlf.txt.gz"
+        crlf.write_bytes(gzip.compress(lf.replace(b"\n", b"\r\n")))
+        outputs = []
+        for name, corpus in (("lf", toy_corpus), ("crlf", str(crlf))):
+            table = str(tmp_path / f"{name}.freq")
+            out = tmp_path / f"{name}.out"
+            assert run(capsys, "freq", "--input", corpus, "--output", table)[0] == 0
+            assert run(capsys, "mask", "--input", corpus, "--strategy", strategy,
+                       "--freq-table", table, "--output", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 200
+
+
+class TestOutputSafety:
+    def test_unsafe_tsv_id_fails(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "x1", "caption": "a cat"}\n'
+                          '{"id": "x\\ty", "caption": "a dog"}\n', encoding="utf-8")
+        out = tmp_path / "m.tsv"
+        code, _, err = run(capsys, "mask", "--input", str(corpus), "--format", "jsonl",
+                           "--strategy", "truncation", "--output-format", "tsv",
+                           "--output", str(out))
+        assert code == 1
+        assert "error: record 1: id 'x\\ty'" in err
+        assert not out.exists()
+
+    def test_mid_stream_error_keeps_old_output(self, tmp_path, capsys):
+        lines = [json.dumps({"id": str(i), "caption": f"caption number {i}"}) for i in range(3000)]
+        lines[2500] = "{not json"
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        out.write_text("old\n" * 3000, encoding="utf-8")
+        code, _, err = run(capsys, "mask", "--input", str(corpus), "--format", "jsonl",
+                           "--strategy", "truncation", "--output", str(out))
+        assert code == 1 and ":2501: invalid JSON" in err
+        assert out.read_text(encoding="utf-8") == "old\n" * 3000
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.jsonl"]
+
+
+class TestAnalyzeMemory:
+    def test_peak_memory_flat_in_number_of_strategies(self, tmp_path, capsys, zipf_corpus):
+        corpus = write_corpus(tmp_path / "z.txt", [" ".join(t) for t in zipf_corpus[:3000]])
+
+        def peak(strategies):
+            tracemalloc.start()
+            try:
+                assert main(["analyze", "pos", "--input", corpus, "--strategies", strategies]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        main(["analyze", "pos", "--input", corpus, "--strategies", ",".join(STRATEGIES)])
+        two = peak("truncation,frequency")
+        six = peak(",".join(STRATEGIES))
+        assert six <= 1.2 * two, f"six strategies peak {six} B vs two {two} B"

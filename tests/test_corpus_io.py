@@ -1,11 +1,15 @@
 import gzip
 import json
 import os
+import re
+import stat
 
 import pytest
 
 from textmask.corpus_io import CaptionRecord, open_text_write, read_corpus, write_masked
+from textmask.freq import load_frequency_table
 from textmask.maskers import mask_truncation
+from textmask.postag import load_lexicon_file
 
 
 def records_of(path, format):
@@ -150,3 +154,113 @@ class TestOpenTextWrite:
         with open_text_write(os.devnull) as fh:
             fh.write("discarded\n")
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+class TestLineEndings:
+    def test_lone_cr_stays_inside_its_record(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"a dog\rruns fast\nthe cat\n")
+        recs = records_of(path, "plain")
+        assert [(r.index, r.text) for r in recs] == [(0, "a dog\rruns fast"), (1, "the cat")]
+
+    def test_lone_cr_stays_inside_its_record_gzip(self, tmp_path):
+        path = tmp_path / "c.txt.gz"
+        path.write_bytes(gzip.compress(b"a dog\rruns fast\nthe cat\n"))
+        assert [r.text for r in records_of(path, "plain")] == ["a dog\rruns fast", "the cat"]
+
+    @pytest.mark.parametrize("format, lines", [
+        ("plain", ["a b", "", "c"]),
+        ("tsv", ["x1\ta b", "x2\t", "x3\tc"]),
+        ("jsonl", ['{"id": "x1", "caption": "a b"}', '{"caption": ""}']),
+    ])
+    def test_crlf_reads_like_lf(self, tmp_path, format, lines):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf.gz"
+        lf.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        crlf.write_bytes(gzip.compress("".join(line + "\r\n" for line in lines).encode()))
+        assert records_of(crlf, format) == records_of(lf, format)
+
+    def test_crlf_frequency_table_with_blank_lines(self, tmp_path):
+        path = tmp_path / "t.freq"
+        path.write_bytes(b"#total 3\r\ndog\t2\r\n\r\ncat\t1\r\n\r\n")
+        table = load_frequency_table(str(path))
+        assert (table.counts, table.total) == ({"dog": 2, "cat": 1}, 3)
+
+    def test_crlf_lexicon_with_blank_lines(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"Dog\tNN\r\n\r\nred\tJJ\r\n")
+        assert load_lexicon_file(str(path)) == {"dog": "NN", "red": "JJ"}
+
+
+class TestTsvIds:
+    @pytest.mark.parametrize("bad_id", ["x\ty", "x\ny", "x\ry", "x\r\n"])
+    def test_unsafe_id_rejected_naming_record(self, tmp_path, bad_id):
+        path = str(tmp_path / "out.tsv")
+        pairs = [
+            (CaptionRecord(0, "ok", "a b"), mask_truncation(["a", "b"], 2)),
+            (CaptionRecord(1, bad_id, "c"), mask_truncation(["c"], 2)),
+        ]
+        with pytest.raises(ValueError, match=f"record 1: id {re.escape(repr(bad_id))}"):
+            write_masked(pairs, path, "tsv")
+        assert not os.path.exists(path)
+
+    def test_same_ids_fine_in_jsonl(self, tmp_path):
+        path = str(tmp_path / "out.jsonl")
+        rec = CaptionRecord(0, "x\ty", "a b")
+        write_masked([(rec, mask_truncation(["a", "b"], 2))], path, "jsonl")
+        assert json.loads(open(path, encoding="utf-8").read())["id"] == "x\ty"
+
+
+class TestAtomicWrite:
+    def fail_midway(self, path):
+        with pytest.raises(RuntimeError, match="midway"):
+            with open_text_write(str(path)) as fh:
+                fh.write("partial\n" * 5000)
+                raise RuntimeError("midway")
+
+    def test_error_keeps_old_file_and_removes_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        self.fail_midway(path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_error_does_not_create_missing_path(self, tmp_path):
+        self.fail_midway(tmp_path / "out.txt.gz")
+        assert os.listdir(tmp_path) == []
+
+    def test_old_file_stays_until_block_exits(self, tmp_path):
+        path = tmp_path / "out.txt.gz"
+        path.write_bytes(gzip.compress(b"old\n"))
+        with open_text_write(str(path)) as fh:
+            fh.write("new\n")
+            fh.flush()
+            assert gzip.decompress(path.read_bytes()) == b"old\n"
+            temp = tmp_path / f"out.txt.gz.{os.getpid()}.tmp"
+            assert temp.exists()
+        assert not temp.exists()
+        assert gzip.decompress(path.read_bytes()) == b"new\n"
+
+    def test_new_file_gets_umask_permissions(self, tmp_path):
+        path = tmp_path / "out.txt"
+        old_umask = os.umask(0o027)
+        try:
+            with open_text_write(str(path)) as fh:
+                fh.write("new\n")
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_write_masked_error_mid_stream_keeps_old_output(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+
+        def pairs():
+            for i in range(3000):
+                if i == 2500:
+                    raise ValueError("bad record 2500")
+                yield CaptionRecord(i, str(i), "a b"), mask_truncation(["a", "b"], 2)
+
+        with pytest.raises(ValueError, match="bad record 2500"):
+            write_masked(pairs(), str(path), "plain")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]

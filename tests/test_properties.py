@@ -1,0 +1,83 @@
+"""Property tests for the structural contract of every masking strategy.
+
+Token lists come from ``tokenize`` over arbitrary Unicode text. Every
+strategy must keep a subsequence of its input, in order, fill
+min(n, k) slots (swclip: at most that many), and give the same output for
+the same (tokens, config, seed). Frequency tables built from such tokens
+must survive a dump/parse round trip unchanged, and merging them must
+not depend on order.
+"""
+
+import io
+import os
+import tempfile
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from textmask.freq import (
+    build_frequency_table,
+    dump_frequency_table,
+    load_frequency_table,
+    merge,
+    parse_frequency_table,
+    save_frequency_table,
+)
+from textmask.maskers import STRATEGIES, MaskingConfig, apply_mask, record_seed
+from textmask.postag import DEFAULT_LEXICON, tag
+from textmask.tokenizer import tokenize
+
+texts = st.lists(st.text(min_size=1, max_size=8), max_size=30).map(" ".join)
+token_lists = texts.map(tokenize)
+thresholds = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+seeds = st.integers(-(2**70), 2**70)
+
+
+@given(
+    tokens=token_lists,
+    table_tokens=token_lists,
+    k=st.integers(1, 12),
+    t=thresholds,
+    seed=seeds,
+    epoch=seeds,
+    index=st.integers(0, 10**9),
+)
+def test_every_strategy_keeps_an_ordered_subsequence_of_budget_length(
+    tokens, table_tokens, k, t, seed, epoch, index
+):
+    table = build_frequency_table([tokens, table_tokens, ["the"]])
+    tags = tag(tokens, DEFAULT_LEXICON)
+    record = record_seed(seed, index, epoch)
+    n = len(tokens)
+    for strategy in STRATEGIES:
+        config = MaskingConfig(strategy, k=k, t=t, seed=seed, epoch=epoch, freq_table=table)
+        output = apply_mask(tokens, config, tags=tags, seed=record)
+        assert output.kept == [tokens[i] for i in output.kept_indices]
+        assert all(a < b for a, b in zip(output.kept_indices, output.kept_indices[1:]))
+        if strategy == "swclip":
+            assert len(output.kept) <= min(n, k)
+        else:
+            assert len(output.kept) == min(n, k)
+        assert output.source_length == n
+        assert apply_mask(tokens, config, tags=tags, seed=record) == output
+
+
+@given(corpus=st.lists(token_lists, min_size=1, max_size=5).filter(any))
+def test_frequency_table_round_trips(corpus):
+    table = build_frequency_table(corpus)
+    buffer = io.StringIO()
+    dump_frequency_table(table, buffer)
+    assert parse_frequency_table(iter(io.StringIO(buffer.getvalue()))) == table
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("t.freq", "t.freq.gz"):
+            path = os.path.join(tmp, name)
+            save_frequency_table(table, path)
+            assert load_frequency_table(path) == table
+
+
+@given(corpora=st.lists(token_lists.filter(bool), min_size=3, max_size=3))
+def test_frequency_table_merge_is_associative_and_commutative(corpora):
+    a, b, c = (build_frequency_table([tokens]) for tokens in corpora)
+    assert merge(merge(a, b), c) == merge(a, merge(b, c))
+    assert merge(a, b) == merge(b, a)
+    assert merge(merge(a, b), c) == build_frequency_table(corpora)
