@@ -24,7 +24,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .maskers import MaskedOutput
 from .postag import CATEGORIES
-from .tokenizer import strip_special
+from .tokenizer import is_special_token
 
 BASELINE_IMAGE_PATCHES = 196
 BASELINE_TEXT_CONTEXT = 32
@@ -72,12 +72,16 @@ def distribution_report(
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     before_counts: Counter[str] = Counter()
     for tokens in before:
-        before_counts.update(strip_special(tokens))
+        before_counts.update(tokens)
+    # Strip special tokens once per word type. The after-counts are read only
+    # for ranked words, which are never special, so they need no stripping.
+    for word in [w for w in before_counts if is_special_token(w)]:
+        del before_counts[word]
     after_counts: dict[str, Counter[str]] = {}
     for strategy, outputs in after.items():
         counts: Counter[str] = Counter()
         for output in _exactly(outputs, len(before), "before", strategy):
-            counts.update(strip_special(output.kept))
+            counts.update(output.kept)
         after_counts[strategy] = counts
     ranked = sorted(before_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
     rows = [

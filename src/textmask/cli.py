@@ -39,7 +39,7 @@ from .maskers import (
     apply_mask,
     record_seed,
 )
-from .postag import DEFAULT_LEXICON, load_lexicon_file, load_pretagged, tag
+from .postag import DEFAULT_LEXICON, TagMemo, load_lexicon_file, load_pretagged, tag
 from .tokenizer import tokenize
 
 # --- corpus masking pipeline --------------------------------------------------
@@ -85,6 +85,11 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="plain", help="corpus format")
 
 
+def _add_pretagged_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pretagged", action="store_true",
+                   help="captions are 'word/TAG word/TAG ...' lines")
+
+
 def _add_masking_args(p: argparse.ArgumentParser, freq_table_required: bool = False) -> None:
     p.add_argument("--k", type=int, default=os.environ.get("TEXTMASK_K", "8"),
                    help="number of tokens to keep per caption (default: $TEXTMASK_K or 8)")
@@ -100,8 +105,7 @@ def _add_masking_args(p: argparse.ArgumentParser, freq_table_required: bool = Fa
                    help="frequency-table file for frequency/swclip")
     p.add_argument("--lexicon", metavar="PATH",
                    help="word\\tTAG lexicon for the built-in tagger")
-    p.add_argument("--pretagged", action="store_true",
-                   help="captions are 'word/TAG word/TAG ...' lines")
+    _add_pretagged_arg(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_freq = sub.add_parser("freq", help="build a word-frequency table")
     _add_input_args(p_freq)
+    _add_pretagged_arg(p_freq)
     p_freq.add_argument("--output", required=True, help="frequency-table file to write")
 
     p_mask = sub.add_parser("mask", help="mask a corpus with one strategy")
@@ -159,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = an_sub.add_parser("stats", help="caption-length statistics")
     _add_input_args(p_stats)
-    p_stats.add_argument("--pretagged", action="store_true",
-                         help="captions are 'word/TAG word/TAG ...' lines")
+    _add_pretagged_arg(p_stats)
     p_stats.add_argument("--output", help="CSV file to write")
 
     p_slots = an_sub.add_parser("slots", help="slot utilization per strategy")
@@ -172,10 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_lexicon_arg(args: argparse.Namespace) -> Mapping[str, str]:
-    if getattr(args, "lexicon", None):
-        return load_lexicon_file(args.lexicon)
-    return DEFAULT_LEXICON
+def _load_lexicon_arg(args: argparse.Namespace) -> TagMemo:
+    """The command's lexicon in a fresh memo, shared by all its records."""
+    if args.lexicon:
+        return TagMemo(load_lexicon_file(args.lexicon))
+    return TagMemo(DEFAULT_LEXICON)
 
 
 def _parse_strategies(parser: argparse.ArgumentParser, value: str) -> list[str]:
@@ -206,7 +211,8 @@ def _freq_table_for(
 
 
 def cmd_freq(args: argparse.Namespace) -> int:
-    corpus = (tokenize(rec.text) for rec in read_corpus(args.input, args.format))
+    corpus = (prepare_record(rec, args.pretagged)[0]
+              for rec in read_corpus(args.input, args.format))
     table = build_frequency_table(corpus)
     save_frequency_table(table, args.output)
     print(f"wrote {len(table)} words ({table.total} tokens) to {args.output}")
@@ -302,11 +308,8 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         return 0
 
     if args.report == "stats":
-        pretagged = getattr(args, "pretagged", False)
-        corpus = (
-            prepare_record(rec, pretagged)[0]
-            for rec in read_corpus(args.input, args.format)
-        )
+        corpus = (prepare_record(rec, args.pretagged)[0]
+                  for rec in read_corpus(args.input, args.format))
         stats = analysis.corpus_stats(corpus)
         print(f"samples      {stats.sample_count}")
         print(f"total words  {stats.total_words}")

@@ -155,9 +155,11 @@ def mask_syntax(tokens: Sequence[str], tags: Sequence[str], k: int) -> MaskedOut
     if n <= k:
         return _identity(tokens, "syntax")
     try:
-        ranked = sorted(range(n), key=lambda i: (_PRIORITY[tags[i]], i))
+        priority = [_PRIORITY[t] for t in tags]
     except KeyError as exc:
         raise ValueError(f"unknown POS category {exc.args[0]!r}; expected one of {tuple(_PRIORITY)}") from None
+    # sorted is stable: equal priorities keep their earlier-first order.
+    ranked = sorted(range(n), key=priority.__getitem__)
     return _select(tokens, sorted(ranked[:k]), "syntax")
 
 

@@ -59,15 +59,34 @@ def heuristic_tag(token: str) -> str:
     return "NN"
 
 
+class TagMemo(dict):
+    """Tags looked up so far, keyed by token, over a wrapped lexicon.
+
+    A missing token is tagged once, by lexicon lookup and then suffix
+    heuristics (a falsy lexicon value falls back to the heuristics), and
+    stored. Captions are Zipfian, so one memo shared by every record of a
+    corpus tags each distinct word once.
+    """
+
+    def __init__(self, lexicon: Mapping[str, str] | None = None) -> None:
+        super().__init__()
+        self.lexicon = {} if lexicon is None else lexicon
+
+    def __missing__(self, tok: str) -> str:
+        category = self[tok] = self.lexicon.get(tok) or heuristic_tag(tok)
+        return category
+
+
 def tag(tokens: Sequence[str], lexicon: Mapping[str, str] | None = None) -> list[str]:
     """One category per token: lexicon lookup first, then suffix heuristics.
 
     ``lexicon`` maps lowercased words to categories; None means no lexicon.
-    Output length always equals input length.
+    A ``TagMemo`` is used as is, so tags it holds are reused; any other
+    lexicon is wrapped in a fresh one. Output length always equals input
+    length.
     """
-    if lexicon is None:
-        lexicon = {}
-    return [lexicon.get(tok) or heuristic_tag(tok) for tok in tokens]
+    memo = lexicon if isinstance(lexicon, TagMemo) else TagMemo(lexicon)
+    return list(map(memo.__getitem__, tokens))
 
 
 def load_pretagged(line: str) -> tuple[list[str], list[str]]:

@@ -49,5 +49,5 @@ def is_special_token(token: str) -> bool:
 
 
 def strip_special(tokens: list[str]) -> list[str]:
-    """Drop all-punctuation tokens. Used by vocabulary reports, never by maskers."""
+    """Drop all-punctuation tokens, as vocabulary reports do; maskers never do."""
     return [tok for tok in tokens if not is_special_token(tok)]

@@ -54,6 +54,14 @@ class TestFreqCommand:
         run(capsys, "freq", "--input", toy_corpus, "--output", out2)
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_pretagged_counts_words_not_tags(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c.txt", ["a/DT dog/NN runs/VBZ ./."])
+        out_path = str(tmp_path / "t.freq")
+        code, _, _ = run(capsys, "freq", "--input", corpus, "--pretagged", "--output", out_path)
+        assert code == 0
+        content = open(out_path, encoding="utf-8").read()
+        assert content == "#total 4\n.\t1\na\t1\ndog\t1\nruns\t1\n"
+
 
 class TestMaskCommand:
     def test_truncation_reference_caption(self, tmp_path, capsys):
@@ -256,6 +264,25 @@ class TestAnalyzePos:
         assert lines[1] == "before,33.33,16.67,25.00,25.00,12"
         # syntax keeps per caption: [dog,big,cat] and [b,c,d] -> 4 NN, 2 JJ
         assert lines[3] == "syntax,66.67,33.33,0.00,0.00,6"
+
+
+class TestTagsPerCommand:
+    def test_lexicon_tags_do_not_leak_between_runs(self, tmp_path, capsys):
+        lex_path = tmp_path / "lex.tsv"
+        lex_path.write_text("dog\tJJ\n", encoding="utf-8")
+        corpus = write_corpus(tmp_path / "c.txt", ["dog", "dog"])
+
+        def pos_row(*extra):
+            csv_path = str(tmp_path / "p.csv")
+            code, _, _ = run(capsys, "analyze", "pos", "--input", corpus,
+                             "--strategies", "truncation", "--output", csv_path, *extra)
+            assert code == 0
+            return open(csv_path, encoding="utf-8").read().splitlines()[1]
+
+        # in both orders: the lexicon run tags dog JJ, the default run NN
+        for _ in range(2):
+            assert pos_row("--lexicon", str(lex_path)) == "before,0.00,100.00,0.00,0.00,2"
+            assert pos_row() == "before,100.00,0.00,0.00,0.00,2"
 
 
 class TestAnalyzeSlots:

@@ -140,6 +140,12 @@ class TestSyntax:
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError, match="POS"):
             mask_syntax(["a", "b"], ["NN", "XX"], 1)
+        # the first unknown tag in token order is named, with the known ones
+        with pytest.raises(ValueError) as info:
+            mask_syntax(["a", "b", "c"], ["NN", "XX", "YY"], 1)
+        assert str(info.value) == (
+            "unknown POS category 'XX'; expected one of ('NN', 'JJ', 'VB', 'OTHER')"
+        )
 
     def test_deterministic(self):
         tokens = [f"t{i}" for i in range(12)]

@@ -3,6 +3,7 @@ import pytest
 from textmask.postag import (
     CATEGORIES,
     DEFAULT_LEXICON,
+    TagMemo,
     load_lexicon,
     load_pretagged,
     penn_to_coarse,
@@ -39,6 +40,24 @@ class TestTag:
         assert tag(["the", "of", "and", "is"], DEFAULT_LEXICON) == [
             "OTHER", "OTHER", "OTHER", "VB",
         ]
+
+
+class TestTagMemo:
+    def test_memo_stores_each_word_once(self):
+        memo = TagMemo({"dog": "JJ"})
+        assert tag(["dog", "cats", "dog"], memo) == ["JJ", "NN", "JJ"]
+        assert tag(["cats", "."], memo) == ["NN", "OTHER"]
+        assert memo == {"dog": "JJ", "cats": "NN", ".": "OTHER"}
+
+    def test_plain_lexicon_is_not_changed(self):
+        lexicon = {"dog": "NN"}
+        tag(["dog", "cat"], lexicon)
+        assert lexicon == {"dog": "NN"}
+
+    def test_none_means_no_lexicon(self):
+        memo = TagMemo()
+        assert memo["the"] == "NN"
+        assert tag(["the"], None) == ["NN"]
 
 
 class TestPennMapping:

@@ -5,7 +5,8 @@ strategy must keep a subsequence of its input, in order, fill
 min(n, k) slots (swclip: at most that many), and give the same output for
 the same (tokens, config, seed). Frequency tables built from such tokens
 must survive a dump/parse round trip unchanged, and merging them must
-not depend on order.
+not depend on order. Tagging through a memo and the syntax ranking must
+agree with their direct definitions.
 """
 
 import io
@@ -23,8 +24,8 @@ from textmask.freq import (
     parse_frequency_table,
     save_frequency_table,
 )
-from textmask.maskers import STRATEGIES, MaskingConfig, apply_mask, record_seed
-from textmask.postag import DEFAULT_LEXICON, tag
+from textmask.maskers import STRATEGIES, MaskingConfig, apply_mask, mask_syntax, record_seed
+from textmask.postag import CATEGORIES, DEFAULT_LEXICON, TagMemo, heuristic_tag, tag
 from textmask.tokenizer import tokenize
 
 texts = st.lists(st.text(min_size=1, max_size=8), max_size=30).map(" ".join)
@@ -81,3 +82,26 @@ def test_frequency_table_merge_is_associative_and_commutative(corpora):
     assert merge(merge(a, b), c) == merge(a, merge(b, c))
     assert merge(a, b) == merge(b, a)
     assert merge(merge(a, b), c) == build_frequency_table(corpora)
+
+
+words = st.text(max_size=6)
+lexicons = st.dictionaries(words, st.sampled_from(CATEGORIES + ("",)), max_size=10)
+
+
+@given(lexicon=lexicons, batches=st.lists(st.lists(words, max_size=12), max_size=6))
+def test_memoised_tag_equals_direct_lookup(lexicon, batches):
+    shared = TagMemo(lexicon)
+    for tokens in batches:
+        expected = [lexicon.get(t) or heuristic_tag(t) for t in tokens]
+        assert tag(tokens, lexicon) == expected
+        assert tag(tokens, TagMemo(lexicon)) == expected
+        assert tag(tokens, shared) == expected
+
+
+@given(tags=st.lists(st.sampled_from(CATEGORIES), max_size=40), k=st.integers(1, 12))
+def test_syntax_ranking_equals_priority_index_key(tags, k):
+    priority = {"NN": 0, "JJ": 1, "VB": 2, "OTHER": 3}
+    tokens = [f"w{i}" for i in range(len(tags))]
+    ranked = sorted(range(len(tags)), key=lambda i: (priority[tags[i]], i))
+    expected = sorted(ranked[:k])
+    assert mask_syntax(tokens, tags, k).kept_indices == expected
