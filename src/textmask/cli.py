@@ -8,6 +8,10 @@ Subcommands:
     analyze    dist | pos | budget | stats | slots reports (table to stdout,
                CSV to --output)
 
+``mask --threads N`` masks on up to N forked processes (no more than the
+CPUs this process may use; one where ``os.fork`` is missing) and writes
+byte-identical output for any N.
+
 Defaults for k, threshold, seed and threads can be overridden with the
 TEXTMASK_K, TEXTMASK_T, TEXTMASK_SEED and TEXTMASK_THREADS environment
 variables. argparse converts them like command-line values, so a bad value
@@ -85,7 +89,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="plain", help="corpus format")
 
 
-def _add_pretagged_arg(p: argparse.ArgumentParser) -> None:
+def _add_pretagged_arg(p: argparse._ActionsContainer) -> None:
     p.add_argument("--pretagged", action="store_true",
                    help="captions are 'word/TAG word/TAG ...' lines")
 
@@ -103,9 +107,13 @@ def _add_masking_args(p: argparse.ArgumentParser, freq_table_required: bool = Fa
                    help="epoch number mixed into per-record seeds")
     p.add_argument("--freq-table", metavar="PATH", required=freq_table_required,
                    help="frequency-table file for frequency/swclip")
-    p.add_argument("--lexicon", metavar="PATH",
-                   help="word\\tTAG lexicon for the built-in tagger")
-    _add_pretagged_arg(p)
+    # Pre-tagged captions are never run through the tagger, so a lexicon
+    # would be read and then ignored.
+    tagging = p.add_mutually_exclusive_group()
+    tagging.add_argument("--lexicon", metavar="PATH",
+                         help="word\\tTAG lexicon for the built-in tagger "
+                              "(not with --pretagged)")
+    _add_pretagged_arg(tagging)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--output-format", choices=FORMATS, default=None,
                         help="output format (default: same as --format)")
     p_mask.add_argument("--threads", type=int, default=os.environ.get("TEXTMASK_THREADS", "1"),
-                        help="accepted for compatibility; masking runs in one thread, "
-                             "so output is identical for any value "
+                        help="worker processes, capped at the CPUs this process may use; "
+                             "output is byte-identical for any value "
                              "(default: $TEXTMASK_THREADS or 1)")
 
     p_demo = sub.add_parser("demo", help="show every strategy on one caption")
@@ -226,11 +234,34 @@ def cmd_mask(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = MaskingConfig(args.strategy, k=args.k, t=args.t, seed=args.seed,
                            epoch=args.epoch, freq_table=table)
     lexicon = _load_lexicon_arg(args)
-    records = read_corpus(args.input, args.format)
-    pairs = mask_records(records, config, pretagged=args.pretagged, lexicon=lexicon)
-    count = write_masked(pairs, args.output, args.output_format or args.format)
+    output_format = args.output_format or args.format
+    workers = _worker_count(args.threads)
+    if workers > 1:
+        # Imported only here, so serial runs neither load nor compile it.
+        from . import shard
+
+        def pairs_for(owns):
+            records = (r for r in read_corpus(args.input, args.format) if owns(r.index))
+            return mask_records(records, config, pretagged=args.pretagged, lexicon=lexicon)
+
+        count = shard.write_sharded(pairs_for, args.output, output_format, workers)
+    else:
+        records = read_corpus(args.input, args.format)
+        pairs = mask_records(records, config, pretagged=args.pretagged, lexicon=lexicon)
+        count = write_masked(pairs, args.output, output_format)
     print(f"masked {count} captions -> {args.output}")
     return 0
+
+
+def _worker_count(threads: int) -> int:
+    """``--threads`` capped at the CPUs this process may use; 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, cpus)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:

@@ -104,30 +104,38 @@ def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
                 yield CaptionRecord(index, record_id, str(obj["caption"]))
 
 
+def format_record(record: CaptionRecord, output: MaskedOutput, format: str = "plain") -> str:
+    """One output line, ``\n`` included: the kept tokens joined by single
+    spaces, with the record id for tsv and jsonl.
+
+    A tsv id holding a tab or line break is a ValueError, since it would
+    split its record.
+    """
+    text = output.text()
+    if format == "plain":
+        return text + "\n"
+    if format == "tsv":
+        if any(c in record.id for c in "\t\n\r"):
+            raise ValueError(f"record {record.index}: id {record.id!r} contains a tab "
+                             "or line break and cannot be written as tsv")
+        return f"{record.id}\t{text}\n"
+    return json.dumps({"id": record.id, "caption": text}, ensure_ascii=False) + "\n"
+
+
 def write_masked(
     pairs: Iterable[tuple[CaptionRecord, MaskedOutput]],
     path: str,
     format: str = "plain",
 ) -> int:
-    """Write masked captions (kept tokens joined by single spaces).
+    """Write masked captions, one ``format_record`` line per record.
 
     Returns the number of records written. One output record per input
-    record, in input order. A tsv id holding a tab or line break is a
-    ValueError, since it would split its record.
+    record, in input order.
     """
     _check_format(format)
     written = 0
     with open_text_write(path) as fh:
         for record, output in pairs:
-            text = output.text()
-            if format == "plain":
-                fh.write(text + "\n")
-            elif format == "tsv":
-                if any(c in record.id for c in "\t\n\r"):
-                    raise ValueError(f"record {record.index}: id {record.id!r} contains a tab "
-                                     "or line break and cannot be written as tsv")
-                fh.write(f"{record.id}\t{text}\n")
-            else:
-                fh.write(json.dumps({"id": record.id, "caption": text}, ensure_ascii=False) + "\n")
+            fh.write(format_record(record, output, format))
             written += 1
     return written

@@ -346,6 +346,35 @@ class TestErrorHandling:
         assert len(first.split()) == 3
 
 
+class TestPretaggedExcludesLexicon:
+    """Pre-tagged captions skip the tagger, so a lexicon given with them
+    would be read and ignored; the pair is a usage error instead, found
+    before the lexicon file is opened (a malformed one fails the same way)."""
+
+    @pytest.mark.parametrize("lexicon", ["dog\tJJ\n", "no tab here\n"], ids=["valid", "malformed"])
+    @pytest.mark.parametrize("command", [
+        ["mask", "--strategy", "syntax", "--output", "m.txt"],
+        ["demo", "--caption", "dog/NN runs/VBZ big/JJ cat/NN", "--freq-table", "t.freq"],
+        ["analyze", "dist"],
+        ["analyze", "pos"],
+        ["analyze", "slots"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_usage_error(self, tmp_path, capsys, monkeypatch, command, lexicon):
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "c.txt", ["dog/NN runs/VBZ big/JJ cat/NN"])
+        (tmp_path / "t.freq").write_text("#total 1\ndog\t1\n", encoding="utf-8")
+        (tmp_path / "lex.tsv").write_text(lexicon, encoding="utf-8")
+        argv = command + ["--pretagged", "--lexicon", "lex.tsv", "--k", "2"]
+        if command[0] != "demo":
+            argv += ["--input", "c.txt"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--lexicon" in err.splitlines()[-1] and "--pretagged" in err.splitlines()[-1]
+        assert not (tmp_path / "m.txt").exists()
+
+
 class TestLineEndingsCli:
     def test_lone_cr_keeps_record_count(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
