@@ -9,8 +9,8 @@ Subcommands:
                CSV to --output)
 
 ``mask --threads N`` masks on up to N forked processes (no more than the
-CPUs this process may use; one where ``os.fork`` is missing) and writes
-byte-identical output for any N.
+CPUs this process may use; one where ``os.fork`` is missing or the input
+is not a regular file) and writes byte-identical output for any N.
 
 Defaults for k, threshold, seed and threads can be overridden with the
 TEXTMASK_K, TEXTMASK_T, TEXTMASK_SEED and TEXTMASK_THREADS environment
@@ -136,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: same as --format)")
     p_mask.add_argument("--threads", type=int, default=os.environ.get("TEXTMASK_THREADS", "1"),
                         help="worker processes, capped at the CPUs this process may use; "
+                             "one unless the input is a regular file; "
                              "output is byte-identical for any value "
                              "(default: $TEXTMASK_THREADS or 1)")
 
@@ -235,7 +236,7 @@ def cmd_mask(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                            epoch=args.epoch, freq_table=table)
     lexicon = _load_lexicon_arg(args)
     output_format = args.output_format or args.format
-    workers = _worker_count(args.threads)
+    workers = _worker_count(args.threads, args.input)
     if workers > 1:
         # Imported only here, so serial runs neither load nor compile it.
         from . import shard
@@ -253,9 +254,14 @@ def cmd_mask(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _worker_count(threads: int) -> int:
-    """``--threads`` capped at the CPUs this process may use; 1 without ``os.fork``."""
-    if not hasattr(os, "fork"):
+def _worker_count(threads: int, input_path: str) -> int:
+    """``--threads`` capped at the CPUs this process may use.
+
+    1 without ``os.fork``, and 1 unless ``input_path`` is (or links to) a
+    regular file: every worker opens the input itself, and a pipe, FIFO or
+    device is one stream the workers would split between them.
+    """
+    if not hasattr(os, "fork") or not os.path.isfile(input_path):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

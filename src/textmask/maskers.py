@@ -24,7 +24,6 @@ truncation and syntax stay fixed.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -59,13 +58,10 @@ def record_seed(seed: int, index: int, epoch: int = 0) -> int:
     Splittable-hash mixing keeps the streams independent of processing
     order, so any parallel schedule reproduces the serial output.
     """
-    return _splitmix64(_run_prefix(seed, epoch) ^ (index & _MASK64))
-
-
-@functools.lru_cache(maxsize=16)
-def _run_prefix(seed: int, epoch: int) -> int:
-    """The index-free part of ``record_seed``, shared by every record of a run."""
-    return _splitmix64(_splitmix64(seed & _MASK64) ^ (epoch & _MASK64))
+    h = _splitmix64(seed & _MASK64)
+    h = _splitmix64(h ^ (epoch & _MASK64))
+    h = _splitmix64(h ^ (index & _MASK64))
+    return h
 
 
 @dataclass

@@ -11,20 +11,23 @@ is the serial output and no process holds more than about one block of it.
 A frame is a header (kind, records, payload bytes) and a payload. A data
 frame carries the block's output lines as UTF-8; one holding fewer than
 ``B`` records is the worker's last, so an empty one marks the end of the
-input. An error frame carries the exception's type and message and is
-the worker's last. A worker that fails sends it in place of the block it
-was working on, and since every worker reaches the records of other
-workers' blocks only after its own earlier blocks, the caller meets the
-first bad record in input order first and raises its error there, as
-``write_masked`` would.
+input. An error frame is the worker's last. Its kind says whether the
+error is one the CLI reports as ``error: <message>`` (a ValueError or
+OSError, subclasses included), which the caller raises as a ValueError
+with the same message, or another failure, raised as a RuntimeError.
+A worker that fails sends it in place of the block it was working on,
+and since every worker reaches the records of other workers' blocks
+only after its own earlier blocks, the caller meets the first bad record
+in input order first and raises its error there, as ``write_masked``
+would.
 
 Workers are forked, not spawned: they inherit the frequency table, tag
-memo and config already built, and nothing is pickled.
+memo and config already built, and nothing is pickled. The input must be
+a regular file, since every worker opens and reads it from the start.
 """
 
 from __future__ import annotations
 
-import builtins
 import contextlib
 import itertools
 import os
@@ -42,7 +45,7 @@ from .maskers import MaskedOutput
 B = 256
 
 _HEADER = struct.Struct("<BII")
-_DATA, _ERROR = 0, 1
+_DATA, _ERROR, _FAILURE = 0, 1, 2
 
 Pairs = Iterator[tuple[CaptionRecord, MaskedOutput]]
 
@@ -132,10 +135,18 @@ def _serve(pairs_for, format: str, worker: int, workers: int, write_fd: int,
                         break
                 status = 0
             except BaseException as exc:
-                data = f"{type(exc).__name__}\0{exc}".encode("utf-8", "replace")
-                out.write(_HEADER.pack(_ERROR, 0, len(data)) + data)
+                out.write(_error_frame(exc))
     finally:
         os._exit(status)
+
+
+def _error_frame(exc: BaseException) -> bytes:
+    if isinstance(exc, (ValueError, OSError)):
+        kind, text = _ERROR, str(exc)
+    else:
+        kind, text = _FAILURE, f"{type(exc).__name__}: {exc}"
+    data = text.encode("utf-8", "replace")
+    return _HEADER.pack(kind, 0, len(data)) + data
 
 
 def _receive(pid: int, reader: IO[bytes], block: int) -> tuple[int, str]:
@@ -144,8 +155,9 @@ def _receive(pid: int, reader: IO[bytes], block: int) -> tuple[int, str]:
     payload = _read(pid, reader, block, size).decode("utf-8")
     if kind == _DATA:
         return records, payload
-    name, _, message = payload.partition("\0")
-    raise _rebuild(name, message)
+    if kind == _ERROR:
+        raise ValueError(payload)
+    raise RuntimeError(f"mask worker failed with {payload}")
 
 
 def _read(pid: int, reader: IO[bytes], block: int, size: int) -> bytes:
@@ -153,18 +165,3 @@ def _read(pid: int, reader: IO[bytes], block: int, size: int) -> bytes:
     if len(data) != size:
         raise ChildProcessError(f"mask worker {pid} exited before sending block {block}")
     return data
-
-
-def _rebuild(name: str, message: str) -> Exception:
-    """The parent-side stand-in for a worker's exception.
-
-    ValueError and OSError (and their subclasses) are what the CLI reports
-    as ``error: <message>`` with exit code 1, so they come back as that
-    base class with the same message; anything else is a RuntimeError
-    naming the original type.
-    """
-    cls = getattr(builtins, name, None)
-    for base in (ValueError, OSError):
-        if isinstance(cls, type) and issubclass(cls, base):
-            return base(message)
-    return RuntimeError(f"mask worker failed with {name}: {message}")

@@ -11,7 +11,6 @@ from textmask.freq import (
 )
 from textmask.maskers import (
     STRATEGIES,
-    _splitmix64,
     MaskingConfig,
     apply_mask,
     mask_block,
@@ -306,21 +305,6 @@ class TestRecordSeed:
     def test_64_bit_range(self):
         for i in range(100):
             assert 0 <= record_seed(123, i) < (1 << 64)
-
-    @pytest.mark.parametrize("value", [-(2**70) - 3, -1, 0, 1, 2**63 + 11, 2**64 + 5, 2**80])
-    def test_equals_three_step_hash(self, value):
-        """The cached per-run prefix changes nothing: each input, taken
-        mod 2**64, is mixed in by its own splitmix64 step."""
-        mask = (1 << 64) - 1
-
-        def reference(seed, index, epoch):
-            h = _splitmix64(seed & mask)
-            h = _splitmix64(h ^ (epoch & mask))
-            return _splitmix64(h ^ (index & mask))
-
-        for seed, index, epoch in [(value, 7, 2), (3, value, 2), (3, 7, value),
-                                   (value, value, value)]:
-            assert record_seed(seed, index, epoch) == reference(seed, index, epoch)
 
 
 class TestApplyMask:

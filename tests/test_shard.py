@@ -6,9 +6,11 @@ is patched so that N workers really start on any machine.
 """
 
 import gzip
+import io
 import json
 import os
 import random
+import threading
 
 import pytest
 
@@ -212,13 +214,78 @@ def test_worker_that_dies_fails_the_run(tmp_path, capsys, corpus, cpus, monkeypa
     assert_no_children()
 
 
-@pytest.mark.parametrize("name,message,expected", [
-    ("ValueError", "bad", ValueError("bad")),
-    ("UnicodeDecodeError", "'utf-8' codec can't decode", ValueError("'utf-8' codec can't decode")),
-    ("FileNotFoundError", "[Errno 2] gone", OSError("[Errno 2] gone")),
-    ("KeyError", "'k'", RuntimeError("mask worker failed with KeyError: 'k'")),
-    ("NoSuchError", "x", RuntimeError("mask worker failed with NoSuchError: x")),
-])
-def test_worker_errors_keep_their_message(name, message, expected):
-    error = shard._rebuild(name, message)
-    assert type(error) is type(expected) and str(error) == str(expected)
+@pytest.mark.parametrize("exc,error", [
+    (ValueError("bad"), ValueError("bad")),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+     ValueError("'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")),
+    (FileNotFoundError(2, "gone"), ValueError("[Errno 2] gone")),
+    (gzip.BadGzipFile("CRC check failed 0x1 != 0x2"), ValueError("CRC check failed 0x1 != 0x2")),
+    (KeyError("k"), RuntimeError("mask worker failed with KeyError: 'k'")),
+    (KeyboardInterrupt(), RuntimeError("mask worker failed with KeyboardInterrupt: ")),
+], ids=["ValueError", "UnicodeDecodeError", "FileNotFoundError", "BadGzipFile", "KeyError",
+        "KeyboardInterrupt"])
+def test_error_frame_keeps_the_message(exc, error):
+    """What the CLI reports as ``error: <message>`` (ValueError, OSError and
+    their subclasses, builtin or not) comes back as a ValueError with the
+    same message; anything else as a RuntimeError naming its type."""
+    with pytest.raises(type(error)) as raised:
+        shard._receive(1, io.BytesIO(shard._error_frame(exc)), 0)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_bad_gzip_trailer_reported_like_one_process(tmp_path, capsys, cpus, workers):
+    """A gzip CRC error is raised at the end of the input, by whichever
+    worker reads to it: with 2 workers a forked one owns the last block."""
+    path = tmp_path / "c.txt.gz"
+    data = bytearray(gzip.compress("".join(f"caption {i} words\n" for i in range(RECORDS))
+                                   .encode("utf-8")))
+    data[-8] ^= 0xFF
+    path.write_bytes(bytes(data))
+    out = tmp_path / "m.txt"
+    results = []
+    for threads in (1, workers):
+        out.write_bytes(b"old\n")
+        results.append(run(capsys, "mask", "--input", str(path), "--strategy", "random",
+                           "--output", str(out), "--threads", str(threads)))
+        assert out.read_bytes() == b"old\n"
+        assert_no_children()
+    assert results[0] == results[1]
+    code, stdout, err = results[1]
+    assert code == 1 and stdout == "" and err.startswith("error: CRC check failed")
+
+
+def _feed(path, data):
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    threading.Thread(target=write, daemon=True).start()
+
+
+@pytest.mark.parametrize("kind", ["fifo", "pipe"])
+def test_stream_input_runs_in_one_process(tmp_path, capsys, corpus, cpus, forks, kind):
+    """Every worker opens the input itself, so a FIFO or a pipe (as in
+    ``--input <(zcat big.gz)``) would be split between them: a stream is
+    masked in one process, with the output of a regular-file run."""
+    if kind == "pipe" and not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    path, table = corpus
+    one, many = tmp_path / "one.tsv", tmp_path / "many.tsv"
+    assert mask(capsys, corpus, "frequency", one, 1)[0] == 0
+    if kind == "fifo":
+        stream = tmp_path / "in.fifo"
+        os.mkfifo(stream)
+        _feed(stream, path.read_bytes())
+    else:
+        read_fd, write_fd = os.pipe()
+        stream = f"/dev/fd/{read_fd}"
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(path.read_bytes())
+    try:
+        assert mask(capsys, (stream, table), "frequency", many, 2)[0] == 0
+    finally:
+        if kind == "pipe":
+            os.close(read_fd)
+    assert forks == []
+    assert one.read_bytes() == many.read_bytes()
