@@ -26,7 +26,6 @@ from .freq import (
     load_frequency_table,
     mask_probability,
     merge,
-    probability_curve,
     save_frequency_table,
     subsample_probability,
 )
@@ -44,9 +43,9 @@ from .maskers import (
     record_seed,
 )
 from .postag import CATEGORIES, load_pretagged, penn_to_coarse, tag
-from .tokenizer import strip_special, tokenize
+from .tokenizer import tokenize
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CaptionRecord",
@@ -76,13 +75,11 @@ __all__ = [
     "merge",
     "penn_to_coarse",
     "pos_share_report",
-    "probability_curve",
     "read_corpus",
     "record_seed",
     "save_frequency_table",
     "slot_utilization",
     "standard_budget_table",
-    "strip_special",
     "subsample_probability",
     "tag",
     "token_budget",

@@ -208,6 +208,8 @@ def token_budget(
         raise ValueError(f"image_mask_ratio must be in [0, 1), got {image_mask_ratio}")
     if not 1 <= text_keep <= text_context:
         raise ValueError(f"text_keep must be in 1..{text_context}, got {text_keep}")
+    if image_patches < 0:
+        raise ValueError(f"image_patches must be >= 0, got {image_patches}")
     image_tokens = int(round_half_up(image_patches * (1.0 - image_mask_ratio), 0))
     total = image_tokens + text_keep
     percentage = 100.0 * total / (image_patches + text_context)

@@ -3,7 +3,7 @@
 Formats:
     plain   one caption per line; record id is the 0-based line index
     tsv     "<id>\\t<caption>" per line
-    jsonl   one JSON object per line with "caption" (required) and "id"
+    jsonl   one JSON object per line with "caption" (required, a string) and "id"
 
 Everything is UTF-8; a ``.gz`` suffix gets transparent gzip handling.
 Lines end at ``\n`` (a trailing ``\r`` is dropped, so CRLF files read the
@@ -100,8 +100,12 @@ def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
                     raise ValueError(f"{path}:{index + 1}: invalid JSON: {exc}") from None
                 if not isinstance(obj, dict) or "caption" not in obj:
                     raise ValueError(f"{path}:{index + 1}: missing 'caption' field")
+                caption = obj["caption"]
+                if not isinstance(caption, str):
+                    raise ValueError(f"{path}:{index + 1}: 'caption' must be a JSON string, "
+                                     f"got {json.dumps(caption)[:40]}")
                 record_id = str(obj["id"]) if "id" in obj else str(index)
-                yield CaptionRecord(index, record_id, str(obj["caption"]))
+                yield CaptionRecord(index, record_id, caption)
 
 
 def format_record(record: CaptionRecord, output: MaskedOutput, format: str = "plain") -> str:

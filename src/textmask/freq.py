@@ -54,10 +54,6 @@ class FrequencyTable:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def relative_frequency(self, word: str) -> float:
-        """Relative frequency of a stored word, in (0, 1]. KeyError if unknown."""
-        return self.counts[word] / self.total
-
     def probabilities(self, t: float) -> dict[int, float]:
         """Map each distinct stored count to its masking probability at ``t``.
 
@@ -121,20 +117,6 @@ def mask_probability(word: str, table: FrequencyTable, t: float = DEFAULT_THRESH
     Unknown words return 0.0 (treated as arbitrarily rare, never masked).
     """
     return table.probabilities(t).get(table.counts.get(word), 0.0)
-
-
-def probability_curve(
-    t_values: Sequence[float], f_grid: Sequence[float]
-) -> list[tuple[float, float, float]]:
-    """Evaluate the masking probability over a (t, f) grid, for plotting.
-
-    Returns (t, f, P) rows, t-major. Both grids must be nonempty.
-    """
-    if not t_values or not f_grid:
-        raise ValueError("t_values and f_grid must be nonempty")
-    return [
-        (t, f, subsample_probability(f, t)) for t in t_values for f in f_grid
-    ]
 
 
 # --- persistence ------------------------------------------------------------

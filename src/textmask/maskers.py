@@ -70,7 +70,6 @@ class MaskedOutput:
 
     kept: list[str]
     kept_indices: list[int]
-    strategy: str
     source_length: int
 
     def text(self) -> str:
@@ -102,21 +101,21 @@ def _check_k(k: int) -> None:
         raise ValueError(f"keep-length k must be >= 1, got {k}")
 
 
-def _identity(tokens: Sequence[str], strategy: str) -> MaskedOutput:
+def _identity(tokens: Sequence[str]) -> MaskedOutput:
     n = len(tokens)
-    return MaskedOutput(list(tokens), list(range(n)), strategy, n)
+    return MaskedOutput(list(tokens), list(range(n)), n)
 
 
-def _select(tokens: Sequence[str], indices: list[int], strategy: str) -> MaskedOutput:
-    return MaskedOutput([tokens[i] for i in indices], indices, strategy, len(tokens))
+def _select(tokens: Sequence[str], indices: list[int]) -> MaskedOutput:
+    return MaskedOutput([tokens[i] for i in indices], indices, len(tokens))
 
 
 def mask_truncation(tokens: Sequence[str], k: int) -> MaskedOutput:
     """Keep the first min(n, k) tokens. Ignores any seed."""
     _check_k(k)
     if len(tokens) <= k:
-        return _identity(tokens, "truncation")
-    return _select(tokens, list(range(k)), "truncation")
+        return _identity(tokens)
+    return _select(tokens, list(range(k)))
 
 
 def mask_random(tokens: Sequence[str], k: int, seed: int) -> MaskedOutput:
@@ -124,9 +123,9 @@ def mask_random(tokens: Sequence[str], k: int, seed: int) -> MaskedOutput:
     _check_k(k)
     n = len(tokens)
     if n <= k:
-        return _identity(tokens, "random")
+        return _identity(tokens)
     rng = random.Random(seed)
-    return _select(tokens, sorted(rng.sample(range(n), k)), "random")
+    return _select(tokens, sorted(rng.sample(range(n), k)))
 
 
 def mask_block(tokens: Sequence[str], k: int, seed: int) -> MaskedOutput:
@@ -138,9 +137,9 @@ def mask_block(tokens: Sequence[str], k: int, seed: int) -> MaskedOutput:
     _check_k(k)
     n = len(tokens)
     if n <= k:
-        return _identity(tokens, "block")
+        return _identity(tokens)
     start = random.Random(seed).randrange(n - k + 1)
-    return _select(tokens, list(range(start, start + k)), "block")
+    return _select(tokens, list(range(start, start + k)))
 
 
 def mask_syntax(tokens: Sequence[str], tags: Sequence[str], k: int) -> MaskedOutput:
@@ -153,14 +152,14 @@ def mask_syntax(tokens: Sequence[str], tags: Sequence[str], k: int) -> MaskedOut
         raise ValueError(f"tags length {len(tags)} does not match token count {len(tokens)}")
     n = len(tokens)
     if n <= k:
-        return _identity(tokens, "syntax")
+        return _identity(tokens)
     try:
         priority = [_PRIORITY[t] for t in tags]
     except KeyError as exc:
         raise ValueError(f"unknown POS category {exc.args[0]!r}; expected one of {tuple(_PRIORITY)}") from None
     # sorted is stable: equal priorities keep their earlier-first order.
     ranked = sorted(range(n), key=priority.__getitem__)
-    return _select(tokens, sorted(ranked[:k]), "syntax")
+    return _select(tokens, sorted(ranked[:k]))
 
 
 def mask_frequency(
@@ -183,7 +182,7 @@ def mask_frequency(
     probs = table.probabilities(t)
     n = len(tokens)
     if n <= k:
-        return _identity(tokens, "frequency")
+        return _identity(tokens)
     rng = random.Random(seed)
     counts = table.counts
     rand = rng.random
@@ -196,7 +195,7 @@ def mask_frequency(
         # Exponential race: key ~ Exp(w); the n-k smallest keys are removed.
         keys.append(-log(1.0 - rand()) / w)
     ranked = sorted(range(n), key=keys.__getitem__)
-    return _select(tokens, sorted(ranked[n - k:]), "frequency")
+    return _select(tokens, sorted(ranked[n - k:]))
 
 
 def mask_swclip(
@@ -220,7 +219,7 @@ def mask_swclip(
     for i, tok in enumerate(tokens):
         if rng.random() >= probs.get(counts.get(tok), 0.0):
             kept.append(i)
-    return _select(tokens, kept[:k], "swclip")
+    return _select(tokens, kept[:k])
 
 
 def apply_mask(

@@ -47,7 +47,3 @@ def is_special_token(token: str) -> bool:
     """True if ``token`` consists entirely of punctuation/symbol characters."""
     return bool(token) and all(_is_special_char(ch) for ch in token)
 
-
-def strip_special(tokens: list[str]) -> list[str]:
-    """Drop all-punctuation tokens, as vocabulary reports do; maskers never do."""
-    return [tok for tok in tokens if not is_special_token(tok)]

@@ -204,6 +204,17 @@ class TestTokenBudget:
         with pytest.raises(ValueError):
             token_budget(0.5, 33)
 
+    @pytest.mark.parametrize("patches", [-1, -10, -228])
+    def test_negative_image_patches_rejected(self, patches):
+        with pytest.raises(ValueError, match="image_patches must be >= 0"):
+            token_budget(0.5, 8, image_patches=patches, text_context=228)
+        with pytest.raises(ValueError, match="image_patches must be >= 0"):
+            standard_budget_table(image_patches=patches, text_context=228)
+
+    def test_zero_image_patches_is_text_only(self):
+        budget = token_budget(0.75, 8, image_patches=0)
+        assert (budget.image_tokens, budget.total, budget.percentage) == (0, 8, 25.0)
+
     def test_csv_schema(self):
         buf = io.StringIO()
         write_budget_csv(standard_budget_table(), buf)

@@ -207,6 +207,15 @@ class TestAnalyzeBudget:
         assert code == 0
         assert "98    16    114" in out
 
+    @pytest.mark.parametrize("patches", ["-228", "-10"])
+    def test_negative_image_patches_fails(self, tmp_path, capsys, patches):
+        csv_path = tmp_path / "b.csv"
+        code, out, err = run(capsys, "analyze", "budget", "--image-patches", patches,
+                             "--text-context", "228", "--output", str(csv_path))
+        assert code == 1
+        assert err == f"error: image_patches must be >= 0, got {patches}\n"
+        assert out == "" and not csv_path.exists()
+
 
 class TestAnalyzeStats:
     def test_two_record_corpus(self, tmp_path, capsys):
@@ -425,6 +434,21 @@ class TestOutputSafety:
                            "--strategy", "truncation", "--output", str(out))
         assert code == 1 and ":2501: invalid JSON" in err
         assert out.read_text(encoding="utf-8") == "old\n" * 3000
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.jsonl"]
+
+
+    @pytest.mark.parametrize("caption", ["null", "12", '["a", "b"]', "{}"])
+    def test_non_string_caption_fails(self, tmp_path, capsys, caption):
+        lines = [json.dumps({"id": str(i), "caption": f"caption number {i}"}) for i in range(50)]
+        lines[40] = '{"id": "40", "caption": %s}' % caption
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+        code, _, err = run(capsys, "mask", "--input", str(corpus), "--format", "jsonl",
+                           "--strategy", "truncation", "--output", str(out))
+        assert code == 1 and ":41: 'caption' must be a JSON string" in err
+        assert out.read_text(encoding="utf-8") == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.jsonl"]
 
 

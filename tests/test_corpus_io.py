@@ -47,6 +47,20 @@ class TestReadCorpus:
         with pytest.raises(ValueError, match=":1"):
             records_of(path, "jsonl")
 
+    @pytest.mark.parametrize("caption", ["null", "12", '["a", "b"]', "{}"])
+    def test_jsonl_non_string_caption_rejected(self, tmp_path, caption):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"caption":"ok"}\n{"id":7,"caption":%s}\n' % caption,
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: 'caption' must be a JSON string"):
+            records_of(path, "jsonl")
+
+    def test_jsonl_integer_id_kept_as_text(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id":7,"caption":"dog"}\n', encoding="utf-8")
+        (rec,) = records_of(path, "jsonl")
+        assert (rec.id, rec.text) == ("7", "dog")
+
     def test_jsonl_bad_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"caption":"ok"}\nnot json\n', encoding="utf-8")

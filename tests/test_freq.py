@@ -14,7 +14,6 @@ from textmask.freq import (
     mask_probability,
     merge,
     parse_frequency_table,
-    probability_curve,
     save_frequency_table,
     subsample_probability,
 )
@@ -51,13 +50,6 @@ class TestBuild:
     def test_all_empty_records_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
             build_frequency_table([[], [], []])
-
-    def test_relative_frequency(self):
-        table = build_frequency_table([["a", "b", "a", "a"]])
-        assert table.relative_frequency("a") == 0.75
-        assert table.relative_frequency("b") == 0.25
-        with pytest.raises(KeyError):
-            table.relative_frequency("zzz")
 
 
 class TestMerge:
@@ -112,6 +104,10 @@ class TestMaskProbability:
     def test_hundred_times_threshold(self):
         # hand oracle: 1 - sqrt(1/100) = 0.9
         assert abs(subsample_probability(100 * self.T, self.T) - 0.9) < 1e-12
+
+    def test_smaller_threshold_masks_more(self):
+        # at a fixed f, a lower threshold gives the higher probability
+        assert subsample_probability(1e-4, 1e-7) > subsample_probability(1e-4, 1e-5)
 
     def test_unknown_word_returns_zero_and_flags(self):
         table = self.table_with_rel_freq(0.5)
@@ -173,37 +169,6 @@ class TestFrozenTable:
         b = build_frequency_table([["a", "b", "a"]])
         a.probabilities(0.1)
         assert a == b
-
-
-class TestProbabilityCurve:
-    def test_zero_at_threshold(self):
-        rows = probability_curve([1e-6], [1e-6])
-        assert rows == [(1e-6, 1e-6, 0.0)]
-
-    def test_smaller_threshold_masks_more(self):
-        # at f = 1e-4 the lower threshold gives the higher probability
-        ((_, _, p_hi_t),) = probability_curve([1e-5], [1e-4])
-        ((_, _, p_lo_t),) = probability_curve([1e-7], [1e-4])
-        assert p_lo_t > p_hi_t
-
-    def test_high_frequency_value(self):
-        # hand oracle: 1 - sqrt(1e-6 / 1e-2) = 1 - 1e-2
-        ((_, _, p),) = probability_curve([1e-6], [1e-2])
-        assert abs(p - 0.99) < 1e-12
-
-    def test_grid_shape_and_monotonicity_in_f(self):
-        f_grid = [10 ** (-8 + 7 * i / 99) for i in range(100)]
-        rows = probability_curve([1e-6, 1e-7], f_grid)
-        assert len(rows) == 200
-        for t in (1e-6, 1e-7):
-            ps = [p for (tv, _, p) in rows if tv == t]
-            assert all(a <= b for a, b in zip(ps, ps[1:]))
-
-    def test_empty_grids_rejected(self):
-        with pytest.raises(ValueError):
-            probability_curve([], [1e-4])
-        with pytest.raises(ValueError):
-            probability_curve([1e-6], [])
 
 
 class TestSerialization:

@@ -1,7 +1,7 @@
 import random
 import string
 
-from textmask.tokenizer import is_special_token, strip_special, tokenize
+from textmask.tokenizer import is_special_token, tokenize
 
 CAPTION = (
     "Walk of the happy young couple and Siberian dog. "
@@ -55,21 +55,7 @@ class TestTokenize:
             assert tokenize(" ".join(tokens)) == tokens
 
 
-class TestStripSpecial:
-    def test_removes_punctuation_tokens(self):
-        assert strip_special(["walk", ".", "dog"]) == ["walk", "dog"]
-
-    def test_identity_without_specials(self):
-        assert strip_special(["a", "b"]) == ["a", "b"]
-
-    def test_all_special_input(self):
-        assert strip_special([".", "!", "?"]) == []
-
-    def test_idempotent(self):
-        tokens = ["a", "...", "b", "-", "c"]
-        once = strip_special(tokens)
-        assert strip_special(once) == once
-
+class TestIsSpecialToken:
     def test_mixed_token_is_not_special(self):
         assert not is_special_token("self-made")
         assert is_special_token("--")
