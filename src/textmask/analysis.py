@@ -220,6 +220,10 @@ def standard_budget_table(
     image_patches: int = BASELINE_IMAGE_PATCHES,
     text_context: int = BASELINE_TEXT_CONTEXT,
 ) -> list[TokenBudget]:
+    widest = max(keep for _, keep in STANDARD_BUDGET_ROWS)
+    if text_context < widest:
+        raise ValueError(f"text_context must be >= {widest} for the standard sweep, whose rows "
+                         f"keep up to {widest} text tokens; got {text_context}")
     return [
         token_budget(ratio, keep, image_patches, text_context)
         for ratio, keep in STANDARD_BUDGET_ROWS

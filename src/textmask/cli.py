@@ -50,17 +50,24 @@ from .tokenizer import tokenize
 
 
 def prepare_record(
-    record: CaptionRecord,
+    text: str,
     pretagged: bool = False,
     lexicon: Mapping[str, str] | None = None,
     want_tags: bool = False,
 ) -> tuple[list[str], list[str] | None]:
-    """Tokenize (or parse a pre-tagged line) and tag one record."""
+    """Tokenize (or parse a pre-tagged line) and tag one caption."""
     if pretagged:
-        return load_pretagged(record.text)
-    tokens = tokenize(record.text)
+        return load_pretagged(text)
+    tokens = tokenize(text)
     tags = tag(tokens, lexicon) if want_tags else None
     return tokens, tags
+
+
+def _mask(tokens: Sequence[str], tags: Sequence[str] | None, config: MaskingConfig,
+          index: int) -> MaskedOutput:
+    """Mask record ``index`` of a corpus pass. Its seed depends only on
+    (config.seed, index, config.epoch), never on processing order."""
+    return apply_mask(tokens, config, tags=tags, seed=record_seed(config.seed, index, config.epoch))
 
 
 def mask_records(
@@ -69,16 +76,11 @@ def mask_records(
     pretagged: bool = False,
     lexicon: Mapping[str, str] | None = None,
 ) -> Iterator[tuple[CaptionRecord, MaskedOutput]]:
-    """Mask a record stream in one thread, yielding results in input order.
-
-    Each record's seed depends only on (config.seed, config.epoch,
-    record.index), so the output does not depend on processing order.
-    """
+    """Mask a record stream in one thread, yielding results in input order."""
     want_tags = config.strategy == "syntax"
     for record in records:
-        tokens, tags = prepare_record(record, pretagged, lexicon, want_tags)
-        seed = record_seed(config.seed, record.index, config.epoch)
-        yield record, apply_mask(tokens, config, tags=tags, seed=seed)
+        tokens, tags = prepare_record(record.text, pretagged, lexicon, want_tags)
+        yield record, _mask(tokens, tags, config, record.index)
 
 
 # --- shared argument plumbing -------------------------------------------------
@@ -202,27 +204,24 @@ def _parse_strategies(parser: argparse.ArgumentParser, value: str) -> list[str]:
     return strategies
 
 
-def _freq_table_for(
-    args: argparse.Namespace,
-    strategies: Sequence[str],
-    corpus: Iterable[Sequence[str]],
-) -> FrequencyTable | None:
-    """Load --freq-table, or build one from the corpus when a frequency
-    strategy needs it and no file was given."""
-    if not FREQUENCY_STRATEGIES.intersection(strategies):
-        return None
-    if args.freq_table:
-        return load_frequency_table(args.freq_table)
-    return build_frequency_table(corpus)
+def _config(args: argparse.Namespace, strategy: str,
+            table: FrequencyTable | None) -> MaskingConfig:
+    """The command's config for ``strategy``; only frequency strategies get ``table``."""
+    return MaskingConfig(strategy, k=args.k, t=args.t, seed=args.seed, epoch=args.epoch,
+                         freq_table=table if strategy in FREQUENCY_STRATEGIES else None)
+
+
+def _token_lists(args: argparse.Namespace) -> Iterator[list[str]]:
+    """Each record's tokens, untagged."""
+    for record in read_corpus(args.input, args.format):
+        yield prepare_record(record.text, args.pretagged)[0]
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
 def cmd_freq(args: argparse.Namespace) -> int:
-    corpus = (prepare_record(rec, args.pretagged)[0]
-              for rec in read_corpus(args.input, args.format))
-    table = build_frequency_table(corpus)
+    table = build_frequency_table(_token_lists(args))
     save_frequency_table(table, args.output)
     print(f"wrote {len(table)} words ({table.total} tokens) to {args.output}")
     return 0
@@ -232,8 +231,7 @@ def cmd_mask(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.strategy in FREQUENCY_STRATEGIES and not args.freq_table:
         parser.error(f"--freq-table is required for strategy {args.strategy!r}")
     table = load_frequency_table(args.freq_table) if args.freq_table else None
-    config = MaskingConfig(args.strategy, k=args.k, t=args.t, seed=args.seed,
-                           epoch=args.epoch, freq_table=table)
+    config = _config(args, args.strategy, table)
     lexicon = _load_lexicon_arg(args)
     output_format = args.output_format or args.format
     workers = _worker_count(args.threads, args.input)
@@ -272,28 +270,17 @@ def _worker_count(threads: int, input_path: str) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     table = load_frequency_table(args.freq_table)
-    lexicon = _load_lexicon_arg(args)
-    if args.pretagged:
-        tokens, tags = load_pretagged(args.caption)
-    else:
-        tokens = tokenize(args.caption)
-        tags = tag(tokens, lexicon)
+    tokens, tags = prepare_record(args.caption, args.pretagged, _load_lexicon_arg(args),
+                                  want_tags=True)
 
     print(f"{'original':<10} : {args.caption}")
     for strategy in STRATEGIES:
-        config = MaskingConfig(strategy, k=args.k, t=args.t, seed=args.seed,
-                               epoch=args.epoch, freq_table=table)
-        seed = record_seed(args.seed, 0, args.epoch)
-        output = apply_mask(tokens, config, tags=tags, seed=seed)
+        output = _mask(tokens, tags, _config(args, strategy, table), 0)
         print(f"{strategy:<10} : {output.text()}")
 
     print()
     print(f"{'word':<16} P(mask)")
-    seen: set[str] = set()
-    for tok in tokens:
-        if tok in seen:
-            continue
-        seen.add(tok)
+    for tok in dict.fromkeys(tokens):
         p = mask_probability(tok, table, args.t)
         marker = "" if tok in table else "  [not in table]"
         print(f"{tok:<16} {p:.6f}{marker}")
@@ -301,7 +288,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _emit_csv(args: argparse.Namespace, write) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open_text_write(args.output) as fh:
             write(fh)
         print(f"wrote {args.output}")
@@ -312,20 +299,19 @@ def _analyze_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser):
     strategies = _parse_strategies(parser, args.strategies)
     lexicon = _load_lexicon_arg(args)
     want_tags = "syntax" in strategies or args.report == "pos"
-    prepared = [prepare_record(record, args.pretagged, lexicon, want_tags)
+    prepared = [prepare_record(record.text, args.pretagged, lexicon, want_tags)
                 for record in read_corpus(args.input, args.format)]
-    table = _freq_table_for(args, strategies, (tokens for tokens, _ in prepared))
+    table = None
+    if FREQUENCY_STRATEGIES.intersection(strategies):
+        # Without --freq-table, the frequency strategies read this corpus's own counts.
+        table = (load_frequency_table(args.freq_table) if args.freq_table
+                 else build_frequency_table(tokens for tokens, _ in prepared))
 
     def stream(config: MaskingConfig) -> Iterator[MaskedOutput]:
         for i, (tokens, tags) in enumerate(prepared):
-            yield apply_mask(tokens, config, tags=tags, seed=record_seed(args.seed, i, args.epoch))
+            yield _mask(tokens, tags, config, i)
 
-    return prepared, {
-        strategy: stream(MaskingConfig(
-            strategy, k=args.k, t=args.t, seed=args.seed, epoch=args.epoch,
-            freq_table=table if strategy in FREQUENCY_STRATEGIES else None))
-        for strategy in strategies
-    }
+    return prepared, {strategy: stream(_config(args, strategy, table)) for strategy in strategies}
 
 
 def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -345,9 +331,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         return 0
 
     if args.report == "stats":
-        corpus = (prepare_record(rec, args.pretagged)[0]
-                  for rec in read_corpus(args.input, args.format))
-        stats = analysis.corpus_stats(corpus)
+        stats = analysis.corpus_stats(_token_lists(args))
         print(f"samples      {stats.sample_count}")
         print(f"total words  {stats.total_words}")
         print(f"mean length  {stats.mean_length:.4f}")

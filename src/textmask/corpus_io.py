@@ -3,9 +3,11 @@
 Formats:
     plain   one caption per line; record id is the 0-based line index
     tsv     "<id>\\t<caption>" per line
-    jsonl   one JSON object per line with "caption" (required, a string) and "id"
+    jsonl   one JSON object per line with "caption" (required, a string) and
+            "id" (optional, a string or an integer)
 
-Everything is UTF-8; a ``.gz`` suffix gets transparent gzip handling.
+Everything is UTF-8, and a byte-order mark at the start of a file is
+dropped on read; a ``.gz`` suffix gets transparent gzip handling.
 Lines end at ``\n`` (a trailing ``\r`` is dropped, so CRLF files read the
 same); a lone ``\r`` stays inside its line. Output order always matches
 input order, so image/text pairings are never disturbed; empty masked
@@ -19,9 +21,10 @@ import gzip
 import json
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
-from .maskers import MaskedOutput
+if TYPE_CHECKING:
+    from .maskers import MaskedOutput
 
 FORMATS = ("plain", "tsv", "jsonl")
 
@@ -36,10 +39,11 @@ class CaptionRecord:
 def _open_text(path: str, mode: str, gz: bool) -> IO[str]:
     # newline="\n": lines end at \n only, so a lone \r stays inside its line.
     # compresslevel=6 is the gzip tool's default; gzip.open's 9 is slower
-    # for a few percent smaller files.
+    # for a few percent smaller files. utf-8-sig drops a leading BOM on read.
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
     if gz:
-        return gzip.open(path, mode + "t", compresslevel=6, encoding="utf-8", newline="\n")
-    return open(path, mode, encoding="utf-8", newline="\n")
+        return gzip.open(path, mode + "t", compresslevel=6, encoding=encoding, newline="\n")
+    return open(path, mode, encoding=encoding, newline="\n")
 
 
 def open_text_read(path: str) -> IO[str]:
@@ -104,7 +108,11 @@ def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
                 if not isinstance(caption, str):
                     raise ValueError(f"{path}:{index + 1}: 'caption' must be a JSON string, "
                                      f"got {json.dumps(caption)[:40]}")
-                record_id = str(obj["id"]) if "id" in obj else str(index)
+                record_id = obj.get("id", index)
+                if not isinstance(record_id, (str, int)) or isinstance(record_id, bool):
+                    raise ValueError(f"{path}:{index + 1}: 'id' must be a JSON string or "
+                                     f"integer, got {json.dumps(record_id)[:40]}")
+                record_id = str(record_id)
                 yield CaptionRecord(index, record_id, caption)
 
 

@@ -21,6 +21,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
+from .corpus_io import open_text_read, open_text_write
+
 DEFAULT_THRESHOLD = 1e-6
 
 
@@ -132,8 +134,6 @@ def dump_frequency_table(table: FrequencyTable, fh: IO[str]) -> None:
 
 
 def save_frequency_table(table: FrequencyTable, path: str) -> None:
-    from .corpus_io import open_text_write
-
     with open_text_write(path) as fh:
         dump_frequency_table(table, fh)
 
@@ -169,7 +169,5 @@ def parse_frequency_table(lines: Iterator[str], source: str = "<stream>") -> Fre
 
 
 def load_frequency_table(path: str) -> FrequencyTable:
-    from .corpus_io import open_text_read
-
     with open_text_read(path) as fh:
         return parse_frequency_table(iter(fh), source=str(path))

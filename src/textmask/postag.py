@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from .corpus_io import open_text_read
 from .tokenizer import is_special_token
 
 CATEGORIES = ("NN", "JJ", "VB", "OTHER")
@@ -124,7 +125,5 @@ def load_lexicon(lines: Iterable[str], source: str = "<stream>") -> dict[str, st
 
 
 def load_lexicon_file(path: str) -> dict[str, str]:
-    from .corpus_io import open_text_read
-
     with open_text_read(path) as fh:
         return load_lexicon(fh, source=str(path))

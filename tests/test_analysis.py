@@ -211,6 +211,14 @@ class TestTokenBudget:
         with pytest.raises(ValueError, match="image_patches must be >= 0"):
             standard_budget_table(image_patches=patches, text_context=228)
 
+    @pytest.mark.parametrize("context", [16, 31])
+    def test_standard_table_needs_its_widest_row(self, context):
+        with pytest.raises(ValueError) as info:
+            standard_budget_table(text_context=context)
+        message = str(info.value)
+        assert message.startswith("text_context must be >= 32 for the standard sweep")
+        assert message.endswith(f"got {context}") and "text_keep" not in message
+
     def test_zero_image_patches_is_text_only(self):
         budget = token_budget(0.75, 8, image_patches=0)
         assert (budget.image_tokens, budget.total, budget.percentage) == (0, 8, 25.0)

@@ -217,6 +217,21 @@ class TestAnalyzeBudget:
         assert out == "" and not csv_path.exists()
 
 
+    def test_standard_sweep_short_context_fails(self, tmp_path, capsys):
+        csv_path = tmp_path / "b.csv"
+        code, out, err = run(capsys, "analyze", "budget", "--text-context", "16",
+                             "--output", str(csv_path))
+        assert code == 1
+        assert err.startswith("error: text_context must be >= 32 for the standard sweep")
+        assert "text_keep" not in err
+        assert out == "" and not csv_path.exists()
+
+    def test_single_row_short_context_still_works(self, capsys):
+        code, out, _ = run(capsys, "analyze", "budget", "--text-keep", "8",
+                           "--text-context", "16")
+        assert code == 0 and "49     8     57" in out
+
+
 class TestAnalyzeStats:
     def test_two_record_corpus(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt", ["a b", "a b c d"])
@@ -410,6 +425,37 @@ class TestLineEndingsCli:
         assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 200
 
 
+class TestByteOrderMarkCli:
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize("format, body", [
+        ("plain", b"hello world\nthe hello cat\n"),
+        ("jsonl", b'{"id": "a", "caption": "hello world"}\n{"caption": "the hello cat"}\n'),
+    ], ids=["plain", "jsonl"])
+    def test_bom_corpus_masks_like_its_twin(self, tmp_path, capsys, format, body):
+        outputs = []
+        for name, data in (("plain", body), ("bom", self.BOM + body)):
+            corpus = tmp_path / f"{name}.in"
+            corpus.write_bytes(data)
+            table = str(tmp_path / f"{name}.freq")
+            out = tmp_path / f"{name}.out"
+            assert run(capsys, "freq", "--input", str(corpus), "--format", format,
+                       "--output", table)[0] == 0
+            assert run(capsys, "mask", "--input", str(corpus), "--format", format,
+                       "--strategy", "frequency", "--freq-table", table, "--k", "2",
+                       "--output", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and b"\xef\xbb\xbf" not in outputs[1]
+
+    def test_freq_on_bom_corpus_counts_the_word(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(self.BOM + b"hello world\nhello\n")
+        out_path = tmp_path / "t.freq"
+        code, _, _ = run(capsys, "freq", "--input", str(corpus), "--output", str(out_path))
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8") == "#total 3\nhello\t2\nworld\t1\n"
+
+
 class TestOutputSafety:
     def test_unsafe_tsv_id_fails(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
@@ -450,6 +496,20 @@ class TestOutputSafety:
         assert code == 1 and ":41: 'caption' must be a JSON string" in err
         assert out.read_text(encoding="utf-8") == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.jsonl"]
+
+
+    @pytest.mark.parametrize("record_id", ["null", "true", '{"a": 1}', "1e3", "[1]"])
+    def test_bad_id_fails(self, tmp_path, capsys, record_id):
+        lines = [json.dumps({"id": str(i), "caption": f"caption number {i}"}) for i in range(50)]
+        lines[40] = '{"id": %s, "caption": "a dog"}' % record_id
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+        code, _, err = run(capsys, "mask", "--input", str(corpus), "--format", "jsonl",
+                           "--strategy", "truncation", "--output", str(out))
+        assert code == 1 and ":41: 'id' must be a JSON string or integer" in err
+        assert out.read_text(encoding="utf-8") == "old\n"
 
 
 class TestAnalyzeMemory:

@@ -61,6 +61,15 @@ class TestReadCorpus:
         (rec,) = records_of(path, "jsonl")
         assert (rec.id, rec.text) == ("7", "dog")
 
+    @pytest.mark.parametrize("record_id", ["null", "true", '{"a": 1}', "1e3", "[1]"])
+    def test_jsonl_id_neither_string_nor_integer_rejected(self, tmp_path, record_id):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id":"x","caption":"ok"}\n{"id":%s,"caption":"dog"}\n' % record_id,
+                        encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"c\.jsonl:2: 'id' must be a JSON string or integer"):
+            records_of(path, "jsonl")
+
     def test_jsonl_bad_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"caption":"ok"}\nnot json\n', encoding="utf-8")
@@ -203,6 +212,36 @@ class TestLineEndings:
         path = tmp_path / "lex.tsv"
         path.write_bytes(b"Dog\tNN\r\n\r\nred\tJJ\r\n")
         assert load_lexicon_file(str(path)) == {"dog": "NN", "red": "JJ"}
+
+
+class TestByteOrderMark:
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize("format, body", [
+        ("plain", b"hello world\nthe cat\n"),
+        ("tsv", b"x1\thello world\nx2\tthe cat\n"),
+        ("jsonl", b'{"id": "x1", "caption": "hello world"}\n{"caption": "the cat"}\n'),
+    ], ids=["plain", "tsv", "jsonl"])
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
+    def test_leading_bom_dropped(self, tmp_path, format, body, suffix):
+        plain, bom = tmp_path / f"plain{suffix}", tmp_path / f"bom{suffix}"
+        wrap = gzip.compress if suffix else bytes
+        plain.write_bytes(wrap(body))
+        bom.write_bytes(wrap(self.BOM + body))
+        assert records_of(bom, format) == records_of(plain, format)
+
+    def test_bom_after_first_line_stays_text(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(self.BOM + b"a\n" + self.BOM + b"b\n")
+        assert [r.text for r in records_of(path, "plain")] == ["a", "\ufeffb"]
+
+    def test_frequency_table_and_lexicon_with_bom(self, tmp_path):
+        table_path, lexicon_path = tmp_path / "t.freq", tmp_path / "lex.tsv"
+        table_path.write_bytes(self.BOM + b"#total 3\ndog\t2\ncat\t1\n")
+        lexicon_path.write_bytes(self.BOM + b"Dog\tNN\n")
+        table = load_frequency_table(str(table_path))
+        assert (table.counts, table.total) == ({"dog": 2, "cat": 1}, 3)
+        assert load_lexicon_file(str(lexicon_path)) == {"dog": "NN"}
 
 
 class TestTsvIds:
