@@ -4,20 +4,14 @@ Six strategies for shrinking captions to a fixed token budget (truncation,
 random, block, syntax, frequency, swclip), frequency-table plumbing for the
 frequency-based strategies, and the reports used to compare how each
 strategy reshapes a corpus.
+
+The report names, and ``textmask.analysis`` itself, are imported on first
+use (PEP 562), so masking never loads the report code or its ``csv`` and
+``decimal`` imports.
 """
 
-from .analysis import (
-    CorpusStats,
-    DistributionReport,
-    PosShareReport,
-    TokenBudget,
-    corpus_stats,
-    distribution_report,
-    pos_share_report,
-    slot_utilization,
-    standard_budget_table,
-    token_budget,
-)
+import importlib
+
 from .corpus_io import CaptionRecord, read_corpus, write_masked
 from .freq import (
     DEFAULT_THRESHOLD,
@@ -86,3 +80,25 @@ __all__ = [
     "tokenize",
     "write_masked",
 ]
+
+# Names re-exported from .analysis; ``__getattr__`` imports it on first use.
+_ANALYSIS_EXPORTS = frozenset({
+    "CorpusStats",
+    "DistributionReport",
+    "PosShareReport",
+    "TokenBudget",
+    "corpus_stats",
+    "distribution_report",
+    "pos_share_report",
+    "slot_utilization",
+    "standard_budget_table",
+    "token_budget",
+})
+
+
+def __getattr__(name: str):
+    if name == "analysis" or name in _ANALYSIS_EXPORTS:
+        # Not ``from . import analysis``: its hasattr check would call back here.
+        analysis = importlib.import_module(".analysis", __name__)
+        return analysis if name == "analysis" else getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,6 @@ import os
 import sys
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import analysis
 from .corpus_io import FORMATS, CaptionRecord, open_text_write, read_corpus, write_masked
 from .freq import (
     DEFAULT_THRESHOLD,
@@ -169,8 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 0.75; omit both flags for the standard sweep)")
     p_budget.add_argument("--text-keep", type=int, default=None,
                           help="single-row mode: kept text tokens (default 8)")
-    p_budget.add_argument("--image-patches", type=int, default=analysis.BASELINE_IMAGE_PATCHES)
-    p_budget.add_argument("--text-context", type=int, default=analysis.BASELINE_TEXT_CONTEXT)
+    # Their defaults, analysis.BASELINE_*, are applied in cmd_analyze, so
+    # building the parser does not import the report code.
+    p_budget.add_argument("--image-patches", type=int)
+    p_budget.add_argument("--text-context", type=int)
     p_budget.add_argument("--output", help="CSV file to write")
 
     p_stats = an_sub.add_parser("stats", help="caption-length statistics")
@@ -315,14 +316,20 @@ def _analyze_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser):
 
 
 def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # Imported here, so the other commands never load the report code.
+    from . import analysis
+
     if args.report == "budget":
+        patches = (analysis.BASELINE_IMAGE_PATCHES if args.image_patches is None
+                   else args.image_patches)
+        context = (analysis.BASELINE_TEXT_CONTEXT if args.text_context is None
+                   else args.text_context)
         if args.image_mask_ratio is not None or args.text_keep is not None:
             ratio = 0.75 if args.image_mask_ratio is None else args.image_mask_ratio
             keep = 8 if args.text_keep is None else args.text_keep
-            budgets = [analysis.token_budget(ratio, keep,
-                                             args.image_patches, args.text_context)]
+            budgets = [analysis.token_budget(ratio, keep, patches, context)]
         else:
-            budgets = analysis.standard_budget_table(args.image_patches, args.text_context)
+            budgets = analysis.standard_budget_table(patches, context)
         print(f"{'image':>6} {'text':>5} {'total':>6} {'pct':>7}")
         for b in budgets:
             print(f"{b.image_tokens:>6} {b.text_tokens:>5} {b.total:>6} "

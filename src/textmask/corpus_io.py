@@ -7,7 +7,9 @@ Formats:
             "id" (optional, a string or an integer)
 
 Everything is UTF-8, and a byte-order mark at the start of a file is
-dropped on read; a ``.gz`` suffix gets transparent gzip handling.
+dropped on read; a ``.gz`` suffix gets transparent gzip handling. A
+``.gz`` output's header names the output file and carries no time stamp,
+so the same output is the same bytes on every run.
 Lines end at ``\n`` (a trailing ``\r`` is dropped, so CRLF files read the
 same); a lone ``\r`` stays inside its line. Output order always matches
 input order, so image/text pairings are never disturbed; empty masked
@@ -17,11 +19,10 @@ captions are still emitted. Output files appear only once complete.
 from __future__ import annotations
 
 import contextlib
-import gzip
-import json
+import io
 import os
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .maskers import MaskedOutput
@@ -36,18 +37,33 @@ class CaptionRecord:
     text: str
 
 
-def _open_text(path: str, mode: str, gz: bool) -> IO[str]:
-    # newline="\n": lines end at \n only, so a lone \r stays inside its line.
-    # compresslevel=6 is the gzip tool's default; gzip.open's 9 is slower
-    # for a few percent smaller files. utf-8-sig drops a leading BOM on read.
-    encoding = "utf-8-sig" if mode == "r" else "utf-8"
-    if gz:
-        return gzip.open(path, mode + "t", compresslevel=6, encoding=encoding, newline="\n")
-    return open(path, mode, encoding=encoding, newline="\n")
+# gzip and json are imported only by the code that needs them, so a plain
+# corpus never loads them. newline="\n" everywhere: lines end at \n only,
+# so a lone \r stays inside its line.
 
 
 def open_text_read(path: str) -> IO[str]:
-    return _open_text(path, "r", str(path).endswith(".gz"))
+    """``path`` as UTF-8 text, gunzipped for ``.gz``; a leading BOM is dropped."""
+    if str(path).endswith(".gz"):
+        import gzip
+
+        return gzip.open(path, "rt", encoding="utf-8-sig", newline="\n")
+    return open(path, encoding="utf-8-sig", newline="\n")
+
+
+def _text_writer(raw: IO[bytes], path: str) -> IO[str]:
+    """UTF-8 text written to ``raw``, gzipped when ``path`` ends in .gz.
+
+    The gzip header names ``path`` even when ``raw`` is a temp file, and
+    its MTIME is 0 (no time stamp). compresslevel=6 is the gzip tool's
+    default; gzip.open's 9 is slower for a few percent smaller files.
+    Closing the writer does not close a gzipped ``raw``; the caller does.
+    """
+    if str(path).endswith(".gz"):
+        import gzip
+
+        raw = gzip.GzipFile(filename=path, mode="wb", fileobj=raw, compresslevel=6, mtime=0)
+    return io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
 
 
 @contextlib.contextmanager
@@ -59,15 +75,15 @@ def open_text_write(path: str) -> Iterator[IO[str]]:
     is removed and the old file is left as it was. A symlink, device or
     pipe is written through in place.
     """
-    gz = str(path).endswith(".gz")
     if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
-        with _open_text(path, "w", gz) as fh:
+        with open(path, "wb") as raw, _text_writer(raw, path) as fh:
             yield fh
         return
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = _open_text(tmp, "x", gz)
+    # Opened outside the try: a temp file this call did not create is not removed.
+    raw = open(tmp, "xb")
     try:
-        with fh:
+        with raw, _text_writer(raw, path) as fh:
             yield fh
     except BaseException:
         os.unlink(tmp)
@@ -87,6 +103,8 @@ def _check_format(format: str) -> None:
 def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
     """Yield records in file order with dense 0-based indices."""
     _check_format(format)
+    if format == "jsonl":
+        import json
     with open_text_read(path) as fh:
         for index, line in enumerate(fh):
             line = line.rstrip("\r\n")
@@ -100,7 +118,7 @@ def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
             else:
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
                     raise ValueError(f"{path}:{index + 1}: invalid JSON: {exc}") from None
                 if not isinstance(obj, dict) or "caption" not in obj:
                     raise ValueError(f"{path}:{index + 1}: missing 'caption' field")
@@ -116,22 +134,32 @@ def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
                 yield CaptionRecord(index, record_id, caption)
 
 
-def format_record(record: CaptionRecord, output: MaskedOutput, format: str = "plain") -> str:
-    """One output line, ``\n`` included: the kept tokens joined by single
-    spaces, with the record id for tsv and jsonl.
+def line_formatter(format: str) -> Callable[[CaptionRecord, MaskedOutput], str]:
+    """The function that renders one masked record as its output line,
+    ``\n`` included: the kept tokens joined by single spaces, with the
+    record id for tsv and jsonl. Pick it once per stream.
 
     A tsv id holding a tab or line break is a ValueError, since it would
     split its record.
     """
-    text = output.text()
+    _check_format(format)
     if format == "plain":
-        return text + "\n"
+        return lambda record, output: output.text() + "\n"
     if format == "tsv":
-        if any(c in record.id for c in "\t\n\r"):
-            raise ValueError(f"record {record.index}: id {record.id!r} contains a tab "
-                             "or line break and cannot be written as tsv")
-        return f"{record.id}\t{text}\n"
-    return json.dumps({"id": record.id, "caption": text}, ensure_ascii=False) + "\n"
+        return _tsv_line
+    # json.dumps({"id": ..., "caption": ...}, ensure_ascii=False) writes
+    # these bytes, but builds a new JSONEncoder on every call.
+    from json.encoder import encode_basestring as quote
+
+    return lambda record, output: (
+        '{"id": ' + quote(record.id) + ', "caption": ' + quote(output.text()) + "}\n")
+
+
+def _tsv_line(record: CaptionRecord, output: MaskedOutput) -> str:
+    if any(c in record.id for c in "\t\n\r"):
+        raise ValueError(f"record {record.index}: id {record.id!r} contains a tab "
+                         "or line break and cannot be written as tsv")
+    return f"{record.id}\t{output.text()}\n"
 
 
 def write_masked(
@@ -139,15 +167,15 @@ def write_masked(
     path: str,
     format: str = "plain",
 ) -> int:
-    """Write masked captions, one ``format_record`` line per record.
+    """Write masked captions, one ``line_formatter(format)`` line per record.
 
     Returns the number of records written. One output record per input
     record, in input order.
     """
-    _check_format(format)
+    line = line_formatter(format)
     written = 0
     with open_text_write(path) as fh:
         for record, output in pairs:
-            fh.write(format_record(record, output, format))
+            fh.write(line(record, output))
             written += 1
     return written

@@ -36,7 +36,7 @@ import struct
 import sys
 from typing import IO, Callable, Iterator
 
-from .corpus_io import CaptionRecord, format_record, open_text_write
+from .corpus_io import CaptionRecord, line_formatter, open_text_write
 from .maskers import MaskedOutput
 
 # Records per block. One block of jsonl output (about 100 bytes a record
@@ -48,6 +48,7 @@ _HEADER = struct.Struct("<BII")
 _DATA, _ERROR, _FAILURE = 0, 1, 2
 
 Pairs = Iterator[tuple[CaptionRecord, MaskedOutput]]
+Line = Callable[[CaptionRecord, MaskedOutput], str]
 
 
 def write_sharded(
@@ -63,6 +64,7 @@ def write_sharded(
     whose index satisfies ``owns``, in input order; each worker calls it
     once. Returns the number of records written.
     """
+    line = line_formatter(format)
     children: list[tuple[int, IO[bytes]]] = []
     sys.stdout.flush()
     sys.stderr.flush()
@@ -77,7 +79,7 @@ def write_sharded(
                 raise
             if pid == 0:
                 inherited = [read_fd] + [reader.fileno() for _, reader in children]
-                _serve(pairs_for, format, worker, workers, write_fd, inherited)
+                _serve(pairs_for, line, worker, workers, write_fd, inherited)
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
 
@@ -87,7 +89,7 @@ def write_sharded(
             for block in itertools.count():
                 worker = block % workers
                 if worker == 0:
-                    lines = _block_lines(own, format)
+                    lines = _block_lines(own, line)
                     records, text = len(lines), "".join(lines)
                 else:
                     records, text = _receive(*children[worker - 1], block)
@@ -109,13 +111,12 @@ def _owner(worker: int, workers: int) -> Callable[[int], bool]:
     return lambda index: index // B % workers == worker
 
 
-def _block_lines(pairs: Pairs, format: str) -> list[str]:
+def _block_lines(pairs: Pairs, line: Line) -> list[str]:
     """The output lines of the next ``B`` pairs, without reading past them."""
-    return [format_record(record, output, format)
-            for record, output in itertools.islice(pairs, B)]
+    return [line(record, output) for record, output in itertools.islice(pairs, B)]
 
 
-def _serve(pairs_for, format: str, worker: int, workers: int, write_fd: int,
+def _serve(pairs_for, line: Line, worker: int, workers: int, write_fd: int,
            inherited: list[int]) -> None:
     """A forked worker's whole life: close the read ends it inherited, send
     its blocks, then leave via ``os._exit``, never returning to the caller."""
@@ -127,7 +128,7 @@ def _serve(pairs_for, format: str, worker: int, workers: int, write_fd: int,
             try:
                 pairs = pairs_for(_owner(worker, workers))
                 while True:
-                    lines = _block_lines(pairs, format)
+                    lines = _block_lines(pairs, line)
                     data = "".join(lines).encode("utf-8")
                     out.write(_HEADER.pack(_DATA, len(lines), len(data)) + data)
                     out.flush()

@@ -1,8 +1,11 @@
 import gzip
+import itertools
 import json
 import os
 import re
 import stat
+import sys
+import time
 
 import pytest
 
@@ -74,6 +77,17 @@ class TestReadCorpus:
         path = tmp_path / "c.jsonl"
         path.write_text('{"caption":"ok"}\nnot json\n', encoding="utf-8")
         with pytest.raises(ValueError, match=":2"):
+            records_of(path, "jsonl")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int digit limit")
+    @pytest.mark.parametrize("field", ["id", "score"])
+    def test_jsonl_integer_past_digit_limit_names_line(self, tmp_path, field):
+        """json.loads raises a plain ValueError, not JSONDecodeError, for it."""
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"caption": "ok"}\n{"%s": 1%s, "caption": "a dog"}\n'
+                        % (field, "0" * 5000), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: invalid JSON: Exceeds the limit"):
             records_of(path, "jsonl")
 
     def test_tsv_missing_tab_names_line(self, tmp_path):
@@ -177,6 +191,50 @@ class TestOpenTextWrite:
         with open_text_write(os.devnull) as fh:
             fh.write("discarded\n")
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+def gzip_header(path):
+    """(MTIME, FNAME) from the header of the gzip file at ``path``."""
+    data = path.read_bytes()
+    assert data[:4] == b"\x1f\x8b\x08\x08"  # deflate, FNAME only
+    return int.from_bytes(data[4:8], "little"), data[10:data.index(b"\0", 10)].decode()
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """A wall clock a day further on at every reading."""
+    ticks = itertools.count(1_000_000_000, 86_400)
+    monkeypatch.setattr(time, "time", lambda: next(ticks))
+
+
+class TestGzipHeader:
+    def write(self, path, text="a dog\n"):
+        with open_text_write(str(path)) as fh:
+            fh.write(text)
+
+    def test_header_names_the_output_without_time_stamp(self, tmp_path):
+        path = tmp_path / "t1.txt.gz"
+        self.write(path)
+        assert gzip_header(path) == (0, "t1.txt")
+        assert gzip.decompress(path.read_bytes()) == b"a dog\n"
+        assert os.listdir(tmp_path) == ["t1.txt.gz"]
+
+    def test_two_writes_give_identical_bytes(self, tmp_path, clock):
+        path = tmp_path / "out.jsonl.gz"
+        self.write(path)
+        first = path.read_bytes()
+        self.write(path)
+        assert path.read_bytes() == first
+
+    def test_symlink_written_through_names_the_link(self, tmp_path):
+        real = tmp_path / "real.bin"
+        real.write_bytes(b"")
+        link = tmp_path / "link.txt.gz"
+        link.symlink_to(real)
+        self.write(link)
+        assert link.is_symlink()
+        assert gzip_header(real) == (0, "link.txt")
+        assert gzip.decompress(real.read_bytes()) == b"a dog\n"
 
 
 class TestLineEndings:

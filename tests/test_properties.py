@@ -6,16 +6,19 @@ min(n, k) slots (swclip: at most that many), and give the same output for
 the same (tokens, config, seed). Frequency tables built from such tokens
 must survive a dump/parse round trip unchanged, and merging them must
 not depend on order. Tagging through a memo and the syntax ranking must
-agree with their direct definitions.
+agree with their direct definitions, and the jsonl line formatter with
+``json.dumps``.
 """
 
 import io
+import json
 import os
 import tempfile
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from textmask.corpus_io import CaptionRecord, line_formatter
 from textmask.freq import (
     build_frequency_table,
     dump_frequency_table,
@@ -24,7 +27,14 @@ from textmask.freq import (
     parse_frequency_table,
     save_frequency_table,
 )
-from textmask.maskers import STRATEGIES, MaskingConfig, apply_mask, mask_syntax, record_seed
+from textmask.maskers import (
+    STRATEGIES,
+    MaskedOutput,
+    MaskingConfig,
+    apply_mask,
+    mask_syntax,
+    record_seed,
+)
 from textmask.postag import CATEGORIES, DEFAULT_LEXICON, TagMemo, heuristic_tag, tag
 from textmask.tokenizer import tokenize
 
@@ -105,3 +115,14 @@ def test_syntax_ranking_equals_priority_index_key(tags, k):
     ranked = sorted(range(len(tags)), key=lambda i: (priority[tags[i]], i))
     expected = sorted(ranked[:k])
     assert mask_syntax(tokens, tags, k).kept_indices == expected
+
+
+@given(record_id=st.text(), kept=st.lists(st.text(), max_size=8))
+def test_jsonl_line_equals_json_dumps(record_id, kept):
+    """The jsonl formatter writes what ``json.dumps(..., ensure_ascii=False)``
+    writes, for any text: quotes, backslashes, control characters, lone
+    surrogates and non-ASCII included."""
+    record = CaptionRecord(0, record_id, "")
+    output = MaskedOutput(kept, list(range(len(kept))), len(kept))
+    expected = json.dumps({"id": record_id, "caption": " ".join(kept)}, ensure_ascii=False)
+    assert line_formatter("jsonl")(record, output) == expected + "\n"

@@ -7,10 +7,13 @@ is patched so that N workers really start on any machine.
 
 import gzip
 import io
+import itertools
 import json
 import os
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -169,6 +172,51 @@ def test_first_error_in_input_order(tmp_path, capsys, cpus, workers, bad_json, t
     assert results[0] == results[1]
     code, stdout, err = results[1]
     assert code == 1 and stdout == "" and message in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+@pytest.mark.parametrize("field", ["id", "score"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_integer_past_digit_limit_reported_like_one_process(tmp_path, capsys, cpus, workers,
+                                                            field):
+    """json.loads raises a plain ValueError for an integer of more than
+    4300 digits; it is reported with its location, and the old output kept."""
+    path = jsonl_corpus(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[10] = '{"%s": 1%s, "caption": "a dog"}' % (field, "0" * 5000)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "m.jsonl"
+    results = []
+    for threads in (1, workers):
+        out.write_bytes(b"old\n")
+        results.append(run(capsys, "mask", "--input", str(path), "--format", "jsonl",
+                           "--strategy", "truncation", "--output", str(out),
+                           "--threads", str(threads)))
+        assert out.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.jsonl"]
+        assert_no_children()
+    assert results[0] == results[1]
+    code, stdout, err = results[1]
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: {path}:11: invalid JSON: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_compressed_output_equals_one_process(tmp_path, capsys, corpus, cpus, monkeypatch,
+                                              workers):
+    """A .gz output is the same bytes, gzip header included, on every run
+    and for any --threads, however much time passes between runs."""
+    ticks = itertools.count(1_000_000_000, 86_400)
+    monkeypatch.setattr(time, "time", lambda: next(ticks))
+    outputs = []
+    for run_dir, threads in (("a", 1), ("b", 1), ("c", workers)):
+        out = tmp_path / run_dir / "m.jsonl.gz"
+        out.parent.mkdir()
+        assert mask(capsys, corpus, "syntax", out, threads, "--output-format", "jsonl")[0] == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][10:18] == b"m.jsonl\0"  # the gzip header's FNAME
 
 
 def test_threads_capped_at_cpu_count(tmp_path, capsys, corpus, cpus, forks):
