@@ -280,18 +280,19 @@ def slot_utilization(masked: Iterable[MaskedOutput], k: int) -> float:
     """Mean filled fraction of the keep-budget: |kept| / min(n, k) per record.
 
     Empty captions (n = 0) have no slots to fill and are skipped; with no
-    eligible records the utilization is vacuously 1.0.
+    eligible records the utilization is vacuously 1.0. The mean is exact
+    and rounded once, so it depends neither on record order nor on how
+    this Python sums floats.
     """
     if k < 1:
         raise ValueError(f"keep-length k must be >= 1, got {k}")
-    ratios = [
-        len(output.kept) / min(output.source_length, k)
-        for output in masked
-        if output.source_length > 0
-    ]
-    if not ratios:
+    fills = Counter((len(output.kept), min(output.source_length, k))
+                    for output in masked if output.source_length > 0)
+    if not fills:
         return 1.0
-    return sum(ratios) / len(ratios)
+    slots = math.lcm(*(budget for _, budget in fills))
+    filled = sum(count * kept * (slots // budget) for (kept, budget), count in fills.items())
+    return filled / (slots * fills.total())
 
 
 def write_slots_csv(utilization: Mapping[str, float], fh: IO[str]) -> None:

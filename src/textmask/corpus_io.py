@@ -43,12 +43,36 @@ class CaptionRecord:
 
 
 def open_text_read(path: str) -> IO[str]:
-    """``path`` as UTF-8 text, gunzipped for ``.gz``; a leading BOM is dropped."""
-    if str(path).endswith(".gz"):
-        import gzip
+    """``path`` as UTF-8 text, gunzipped for ``.gz``; a leading BOM is dropped.
 
-        return gzip.open(path, "rt", encoding="utf-8-sig", newline="\n")
+    A ``.gz`` file that is cut short or corrupt raises ``gzip.BadGzipFile``
+    (an OSError) naming ``path``, where gzip itself raises EOFError or
+    zlib.error.
+    """
+    if str(path).endswith(".gz"):
+        return io.TextIOWrapper(_gzip_reader(path), encoding="utf-8-sig", newline="\n")
     return open(path, encoding="utf-8-sig", newline="\n")
+
+
+def _gzip_reader(path: str) -> IO[bytes]:
+    import gzip
+    import zlib
+
+    class Reader(gzip.GzipFile):
+        # TextIOWrapper reads through read1, and through read for read().
+        def read(self, size: int = -1) -> bytes:
+            return self._checked(super().read, size)
+
+        def read1(self, size: int = -1) -> bytes:
+            return self._checked(super().read1, size)
+
+        def _checked(self, read: Callable[[int], bytes], size: int) -> bytes:
+            try:
+                return read(size)
+            except (EOFError, zlib.error) as exc:
+                raise gzip.BadGzipFile(f"{path}: {exc}") from None
+
+    return Reader(path, "rb")
 
 
 def _text_writer(raw: IO[bytes], path: str) -> IO[str]:
@@ -116,9 +140,11 @@ def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
                     raise ValueError(f"{path}:{index + 1}: expected '<id>\\t<caption>'")
                 yield CaptionRecord(index, record_id, text)
             else:
+                # A JSONDecodeError, an int past Python's digit limit, or
+                # nesting too deep for the decoder (RecursionError).
                 try:
                     obj = json.loads(line)
-                except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+                except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}:{index + 1}: invalid JSON: {exc}") from None
                 if not isinstance(obj, dict) or "caption" not in obj:
                     raise ValueError(f"{path}:{index + 1}: missing 'caption' field")

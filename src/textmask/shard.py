@@ -8,18 +8,16 @@ caller as one frame over its own pipe, and the caller writes blocks 0, 1,
 2, ... to the output file, masking its own blocks in turn, so the output
 is the serial output and no process holds more than about one block of it.
 
-A frame is a header (kind, records, payload bytes) and a payload. A data
-frame carries the block's output lines as UTF-8; one holding fewer than
-``B`` records is the worker's last, so an empty one marks the end of the
-input. An error frame is the worker's last. Its kind says whether the
-error is one the CLI reports as ``error: <message>`` (a ValueError or
-OSError, subclasses included), which the caller raises as a ValueError
-with the same message, or another failure, raised as a RuntimeError.
-A worker that fails sends it in place of the block it was working on,
-and since every worker reaches the records of other workers' blocks
-only after its own earlier blocks, the caller meets the first bad record
-in input order first and raises its error there, as ``write_masked``
-would.
+A frame is a header (records, payload bytes) and a payload, the block's
+output lines as UTF-8. One holding fewer than ``B`` records is the
+worker's last, so an empty one marks the end of the input. A worker that
+fails sends nothing more and exits. When a worker's frame for block
+``b`` is missing or cut short, the caller masks block ``b`` itself. Every
+earlier block is written by then, so the first bad record in input order
+is in block ``b`` or later, and masking the block raises what
+``write_masked`` raises on it, whatever its type. If the block masks
+cleanly, the worker died of something else: a ``ChildProcessError``. The
+caller's lines never stand in for a worker's.
 
 Workers are forked, not spawned: they inherit the frequency table, tag
 memo and config already built, and nothing is pickled. The input must be
@@ -44,8 +42,7 @@ from .maskers import MaskedOutput
 # its next block while the caller is still writing earlier ones.
 B = 256
 
-_HEADER = struct.Struct("<BII")
-_DATA, _ERROR, _FAILURE = 0, 1, 2
+_HEADER = struct.Struct("<II")
 
 Pairs = Iterator[tuple[CaptionRecord, MaskedOutput]]
 Line = Callable[[CaptionRecord, MaskedOutput], str]
@@ -92,7 +89,14 @@ def write_sharded(
                     lines = _block_lines(own, line)
                     records, text = len(lines), "".join(lines)
                 else:
-                    records, text = _receive(*children[worker - 1], block)
+                    pid, reader = children[worker - 1]
+                    frame = _receive(reader)
+                    if frame is None:
+                        # A bad record in this block raises here as in one process.
+                        _block_lines(pairs_for(lambda i: i // B == block), line)
+                        raise ChildProcessError(
+                            f"mask worker {pid} exited before sending block {block}")
+                    records, text = frame
                 fh.write(text)
                 written += records
                 if records < B:
@@ -119,50 +123,32 @@ def _block_lines(pairs: Pairs, line: Line) -> list[str]:
 def _serve(pairs_for, line: Line, worker: int, workers: int, write_fd: int,
            inherited: list[int]) -> None:
     """A forked worker's whole life: close the read ends it inherited, send
-    its blocks, then leave via ``os._exit``, never returning to the caller."""
+    its blocks, then leave via ``os._exit``, never returning to the caller.
+    On any error it stops sending; the caller finds its frame missing."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
         with os.fdopen(write_fd, "wb") as out:
-            try:
-                pairs = pairs_for(_owner(worker, workers))
-                while True:
-                    lines = _block_lines(pairs, line)
-                    data = "".join(lines).encode("utf-8")
-                    out.write(_HEADER.pack(_DATA, len(lines), len(data)) + data)
-                    out.flush()
-                    if len(lines) < B:
-                        break
-                status = 0
-            except BaseException as exc:
-                out.write(_error_frame(exc))
+            pairs = pairs_for(_owner(worker, workers))
+            while True:
+                lines = _block_lines(pairs, line)
+                data = "".join(lines).encode("utf-8")
+                out.write(_HEADER.pack(len(lines), len(data)) + data)
+                out.flush()
+                if len(lines) < B:
+                    break
+        status = 0
     finally:
         os._exit(status)
 
 
-def _error_frame(exc: BaseException) -> bytes:
-    if isinstance(exc, (ValueError, OSError)):
-        kind, text = _ERROR, str(exc)
-    else:
-        kind, text = _FAILURE, f"{type(exc).__name__}: {exc}"
-    data = text.encode("utf-8", "replace")
-    return _HEADER.pack(kind, 0, len(data)) + data
-
-
-def _receive(pid: int, reader: IO[bytes], block: int) -> tuple[int, str]:
-    """Read one frame: (records, text) of a data frame; an error frame raises."""
-    kind, records, size = _HEADER.unpack(_read(pid, reader, block, _HEADER.size))
-    payload = _read(pid, reader, block, size).decode("utf-8")
-    if kind == _DATA:
-        return records, payload
-    if kind == _ERROR:
-        raise ValueError(payload)
-    raise RuntimeError(f"mask worker failed with {payload}")
-
-
-def _read(pid: int, reader: IO[bytes], block: int, size: int) -> bytes:
-    data = reader.read(size)
-    if len(data) != size:
-        raise ChildProcessError(f"mask worker {pid} exited before sending block {block}")
-    return data
+def _receive(reader: IO[bytes]) -> tuple[int, str] | None:
+    """The next frame's (records, text), or None if it is missing or cut short."""
+    header = reader.read(_HEADER.size)
+    if len(header) == _HEADER.size:
+        records, size = _HEADER.unpack(header)
+        payload = reader.read(size)
+        if len(payload) == size:
+            return records, payload.decode("utf-8")
+    return None

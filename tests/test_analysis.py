@@ -18,6 +18,7 @@ from textmask.analysis import (
 )
 from textmask.freq import build_frequency_table
 from textmask.maskers import (
+    MaskedOutput,
     mask_frequency,
     mask_random,
     mask_syntax,
@@ -288,3 +289,13 @@ class TestSlotUtilization:
         out.kept = out.kept[:2]  # simulate an under-filling strategy
         out.kept_indices = out.kept_indices[:2]
         assert slot_utilization([out], 4) == 0.5
+
+    def test_exact_mean_in_any_order(self):
+        """The mean is rounded once. Summing the ratios as floats gives
+        0.09999999999999999 for the first case before Python 3.12, and a
+        last bit that depends on the order for the second."""
+        assert slot_utilization([MaskedOutput(["a"], [0], 10)] * 10, 10) == 0.1
+        fills = [(5, 9), (5, 10), (4, 8), (9, 9), (1, 1), (2, 9), (8, 9), (3, 4), (1, 1),
+                 (4, 6), (3, 9), (6, 9)]
+        outs = [MaskedOutput(["a"] * kept, list(range(kept)), n) for kept, n in fills]
+        assert slot_utilization(outs, 10) == slot_utilization(outs[::-1], 10) == 97 / 144

@@ -2,6 +2,7 @@ import gzip
 import json
 import random
 import tracemalloc
+import zlib
 
 import pytest
 
@@ -18,6 +19,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def gzip_cut_short(data):
+    """A gzip stream of ``data`` with no final block or trailer: reading it
+    yields all of ``data``, then fails."""
+    compressor = zlib.compressobj(wbits=31)
+    return compressor.compress(data) + compressor.flush(zlib.Z_SYNC_FLUSH)
 
 
 def write_corpus(path, lines):
@@ -482,6 +490,33 @@ class TestOutputSafety:
         assert out.read_text(encoding="utf-8") == "old\n" * 3000
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.jsonl"]
 
+
+    @pytest.mark.parametrize("command", ["mask", "freq", "stats", "freq-table", "lexicon"])
+    def test_gzip_input_cut_short(self, tmp_path, capsys, toy_corpus, command):
+        """gzip raises EOFError there; it is reported naming the file, exit 1."""
+        bad = tmp_path / "bad.gz"
+        out = tmp_path / "out"
+        out.write_bytes(b"old\n")
+        table = tmp_path / "t.freq"
+        assert run(capsys, "freq", "--input", toy_corpus, "--output", str(table))[0] == 0
+        data = {"freq-table": table.read_bytes(), "lexicon": b"alpha\tNN\nbeta\tVB\n"}
+        bad.write_bytes(gzip_cut_short(data.get(command, b"a dog\n" * 100)))
+        mask = ["mask", "--strategy", "frequency", "--output", str(out)]
+        argv = {
+            "mask": mask + ["--input", str(bad), "--freq-table", str(table)],
+            "freq": ["freq", "--input", str(bad), "--output", str(out)],
+            "stats": ["analyze", "stats", "--input", str(bad), "--output", str(out)],
+            "freq-table": mask + ["--input", toy_corpus, "--freq-table", str(bad)],
+            "lexicon": mask + ["--input", toy_corpus, "--freq-table", str(table),
+                               "--lexicon", str(bad)],
+        }[command]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {bad}: Compressed file ended before the end-of-stream "
+                       "marker was reached\n")
+        assert out.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gz", "out", "t.freq",
+                                                              "toy.txt"]
 
     @pytest.mark.parametrize("caption", ["null", "12", '["a", "b"]', "{}"])
     def test_non_string_caption_fails(self, tmp_path, capsys, caption):

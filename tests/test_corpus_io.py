@@ -102,6 +102,18 @@ class TestReadCorpus:
             fh.write("a\nb\n")
         assert [r.text for r in records_of(path, "plain")] == ["a", "b"]
 
+    @pytest.mark.parametrize("data,reason", [
+        (gzip.compress(b"a dog\n" * 100)[:-12], "Compressed file ended before the end-of-stream"),
+        # a deflate block of the reserved type 3
+        (gzip.compress(b"")[:10] + b"\x07" + bytes(8), "Error -3 while decompressing data"),
+    ], ids=["cut-short", "corrupt"])
+    def test_bad_gzip_names_path(self, tmp_path, data, reason):
+        """gzip raises EOFError or zlib.error, which are neither ValueError nor OSError."""
+        path = tmp_path / "c.txt.gz"
+        path.write_bytes(data)
+        with pytest.raises(gzip.BadGzipFile, match=f"^{re.escape(str(path))}: {reason}"):
+            records_of(path, "plain")
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             records_of(tmp_path / "x", "xml")

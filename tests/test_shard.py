@@ -6,7 +6,6 @@ is patched so that N workers really start on any machine.
 """
 
 import gzip
-import io
 import itertools
 import json
 import os
@@ -14,10 +13,11 @@ import random
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
-from textmask import shard
+from textmask import cli, shard
 from textmask.cli import main
 from textmask.maskers import STRATEGIES
 
@@ -262,25 +262,6 @@ def test_worker_that_dies_fails_the_run(tmp_path, capsys, corpus, cpus, monkeypa
     assert_no_children()
 
 
-@pytest.mark.parametrize("exc,error", [
-    (ValueError("bad"), ValueError("bad")),
-    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
-     ValueError("'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")),
-    (FileNotFoundError(2, "gone"), ValueError("[Errno 2] gone")),
-    (gzip.BadGzipFile("CRC check failed 0x1 != 0x2"), ValueError("CRC check failed 0x1 != 0x2")),
-    (KeyError("k"), RuntimeError("mask worker failed with KeyError: 'k'")),
-    (KeyboardInterrupt(), RuntimeError("mask worker failed with KeyboardInterrupt: ")),
-], ids=["ValueError", "UnicodeDecodeError", "FileNotFoundError", "BadGzipFile", "KeyError",
-        "KeyboardInterrupt"])
-def test_error_frame_keeps_the_message(exc, error):
-    """What the CLI reports as ``error: <message>`` (ValueError, OSError and
-    their subclasses, builtin or not) comes back as a ValueError with the
-    same message; anything else as a RuntimeError naming its type."""
-    with pytest.raises(type(error)) as raised:
-        shard._receive(1, io.BytesIO(shard._error_frame(exc)), 0)
-    assert type(raised.value) is type(error) and str(raised.value) == str(error)
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 def test_bad_gzip_trailer_reported_like_one_process(tmp_path, capsys, cpus, workers):
     """A gzip CRC error is raised at the end of the input, by whichever
@@ -301,6 +282,99 @@ def test_bad_gzip_trailer_reported_like_one_process(tmp_path, capsys, cpus, work
     assert results[0] == results[1]
     code, stdout, err = results[1]
     assert code == 1 and stdout == "" and err.startswith("error: CRC check failed")
+
+
+def end_of(capsys, *argv):
+    """How ``main(argv)`` ends: (code, stdout, stderr), or the exception it raises."""
+    try:
+        return run(capsys, *argv)
+    except Exception as exc:
+        capsys.readouterr()
+        return type(exc), exc.args
+
+
+def ends_like_one_process(tmp_path, capsys, workers, *argv):
+    """``mask *argv`` over an old output, at --threads 1 and ``workers``:
+    both keep the old output, leave no temp file or child, and end alike.
+    Returns how they end."""
+    out = tmp_path / "m.out"
+    out.write_bytes(b"old\n")
+    names = sorted(os.listdir(tmp_path))
+    ends = []
+    for threads in (1, workers):
+        ends.append(end_of(capsys, "mask", *argv, "--output", str(out),
+                           "--threads", str(threads)))
+        assert out.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == names
+        assert_no_children()
+    assert ends[0] == ends[1]
+    return ends[1]
+
+
+# Record 10 is in block 1, which a forked worker owns for N = 2 and 3;
+# record 16 is in block 2, the caller's for N = 2 and the second forked
+# worker's for N = 3.
+@pytest.mark.parametrize("index", [10, 16])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_any_exception_ends_like_one_process(tmp_path, capsys, cpus, monkeypatch, workers,
+                                             index):
+    """Not only the errors the CLI reports: a worker that fails sends
+    nothing more, the caller masks the missing block itself, and ``main``
+    raises what a one-process run raises."""
+    real_seed = cli.record_seed
+
+    def record_seed(seed, i, epoch=0):
+        if i == index:
+            raise KeyError(f"no seed for record {i}")
+        return real_seed(seed, i, epoch)
+
+    monkeypatch.setattr(cli, "record_seed", record_seed)
+    path = jsonl_corpus(tmp_path)
+    assert ends_like_one_process(tmp_path, capsys, workers, "--input", str(path), "--format",
+                                 "jsonl", "--strategy", "random"
+                                 ) == (KeyError, (f"no seed for record {index}",))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_invalid_utf8_in_a_worker_block(tmp_path, capsys, monkeypatch, cpus, workers):
+    """The input is decoded in chunks of 8 KiB, so the error comes at the
+    record where the bad chunk starts: 128, in a forked worker's block 1."""
+    monkeypatch.setattr(shard, "B", 100)
+    path = tmp_path / "c.txt"
+    lines = [f"caption {i:04d} ".ljust(63, "x").encode("ascii") + b"\n" for i in range(400)]
+    lines[150] = b"\xff" + lines[150][1:]
+    path.write_bytes(b"".join(lines))
+    code, stdout, err = ends_like_one_process(tmp_path, capsys, workers, "--input", str(path),
+                                              "--strategy", "random")
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_deeply_nested_json_in_a_worker_block(tmp_path, capsys, cpus, workers):
+    path = jsonl_corpus(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[10] = "[" * 100_000 + "]" * 100_000
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, stdout, err = ends_like_one_process(tmp_path, capsys, workers, "--input", str(path),
+                                              "--format", "jsonl", "--strategy", "truncation")
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {path}:11: invalid JSON: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_gzip_input_cut_short_in_a_worker_block(tmp_path, capsys, cpus, workers):
+    """The stream ends, with no final block or trailer, inside record 10."""
+    text = "".join(f"caption {i} words\n" for i in range(RECORDS)).encode("utf-8")
+    compressor = zlib.compressobj(wbits=31)
+    path = tmp_path / "c.txt.gz"
+    path.write_bytes(compressor.compress(text[:text.index(b"caption 10 ") + 5])
+                     + compressor.flush(zlib.Z_SYNC_FLUSH))
+    code, stdout, err = ends_like_one_process(tmp_path, capsys, workers, "--input", str(path),
+                                              "--strategy", "random")
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: {path}: Compressed file ended before the end-of-stream marker "
+                   "was reached\n")
 
 
 def _feed(path, data):
