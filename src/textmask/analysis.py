@@ -16,6 +16,7 @@ Each report renders to CSV; the CSV is the plotting contract.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -57,6 +58,11 @@ class DistributionReport:
     rows: list[DistributionRow]
 
 
+def check_top_n(top_n: int) -> None:
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
+
+
 def distribution_report(
     before: Sequence[Sequence[str]],
     after: Mapping[str, Iterable[MaskedOutput]],
@@ -68,8 +74,7 @@ def distribution_report(
     sides. Ranks follow descending original count, ties lexicographic.
     Each strategy's output stream is read once and must match ``before``.
     """
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    check_top_n(top_n)
     before_counts: Counter[str] = Counter()
     for tokens in before:
         before_counts.update(tokens)
@@ -83,7 +88,8 @@ def distribution_report(
         for output in _exactly(outputs, len(before), "before", strategy):
             counts.update(output.kept)
         after_counts[strategy] = counts
-    ranked = sorted(before_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+    # Equal to sorted(...)[:top_n], but holds only top_n items and keys at a time.
+    ranked = heapq.nsmallest(top_n, before_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = [
         DistributionRow(
             rank=i,

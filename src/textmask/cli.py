@@ -33,12 +33,14 @@ from .freq import (
     load_frequency_table,
     mask_probability,
     save_frequency_table,
+    validate_threshold,
 )
 from .maskers import (
     FREQUENCY_STRATEGIES,
     STRATEGIES,
     MaskedOutput,
     MaskingConfig,
+    _check_k,
     apply_mask,
     record_seed,
 )
@@ -300,8 +302,13 @@ def _analyze_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser):
     strategies = _parse_strategies(parser, args.strategies)
     lexicon = _load_lexicon_arg(args)
     want_tags = "syntax" in strategies or args.report == "pos"
-    prepared = [prepare_record(record.text, args.pretagged, lexicon, want_tags)
-                for record in read_corpus(args.input, args.format)]
+    # Records share one str per word type, so the corpus held across the
+    # strategies costs a reference per token, not a string per token.
+    words: dict[str, str] = {}
+    prepared = []
+    for record in read_corpus(args.input, args.format):
+        tokens, tags = prepare_record(record.text, args.pretagged, lexicon, want_tags)
+        prepared.append((list(map(words.setdefault, tokens, tokens)), tags))
     table = None
     if FREQUENCY_STRATEGIES.intersection(strategies):
         # Without --freq-table, the frequency strategies read this corpus's own counts.
@@ -346,6 +353,11 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         _emit_csv(args, lambda fh: analysis.write_stats_csv(stats, fh))
         return 0
 
+    # Checked before the input is opened, as ``mask`` does.
+    _check_k(args.k)
+    validate_threshold(args.t)
+    if args.report == "dist":
+        analysis.check_top_n(args.top_n)
     prepared, masked = _analyze_corpus(args, parser)
 
     if args.report == "dist":

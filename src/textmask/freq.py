@@ -129,8 +129,14 @@ def mask_probability(word: str, table: FrequencyTable, t: float = DEFAULT_THRESH
 
 def dump_frequency_table(table: FrequencyTable, fh: IO[str]) -> None:
     fh.write(f"#total {table.total}\n")
-    for word, count in sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        fh.write(f"{word}\t{count}\n")
+    # Grouped by count, so it holds no (word, count) pair or sort key per word.
+    by_count: dict[int, list[str]] = {}
+    for word, count in table.counts.items():
+        by_count.setdefault(count, []).append(word)
+    for count in sorted(by_count, reverse=True):
+        suffix = f"\t{count}\n"
+        for word in sorted(by_count[count]):
+            fh.write(word + suffix)
 
 
 def save_frequency_table(table: FrequencyTable, path: str) -> None:

@@ -8,6 +8,7 @@ runtime budget and printing a one-line summary with the measured values
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,7 +339,7 @@ def test_determinism_and_parallel_equivalence(tmp_path, capsys, zipf_corpus):
                 "--seed", "11", "--epoch", epoch, "--threads", threads,
                 "--freq-table", table_path, "--output", out_path]
         assert main(argv) == 0
-        return open(out_path, "rb").read()
+        return Path(out_path).read_bytes()
 
     epoch_sensitive = {"random", "block", "frequency", "swclip"}
     for strategy in ("truncation", "random", "block", "syntax", "frequency", "swclip"):

@@ -3,10 +3,11 @@ import json
 import random
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import pytest
 
-from textmask.cli import main
+from textmask.cli import _analyze_corpus, build_parser, main
 from textmask.maskers import STRATEGIES
 
 CAPTION = (
@@ -47,7 +48,7 @@ class TestFreqCommand:
         out_path = str(tmp_path / "t.freq")
         code, _, _ = run(capsys, "freq", "--input", corpus, "--output", out_path)
         assert code == 0
-        content = open(out_path, encoding="utf-8").read()
+        content = Path(out_path).read_text(encoding="utf-8")
         assert content == "#total 6\na\t3\nb\t2\n.\t1\n"
 
     def test_empty_corpus_fails(self, tmp_path, capsys):
@@ -60,14 +61,14 @@ class TestFreqCommand:
         out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t2")
         run(capsys, "freq", "--input", toy_corpus, "--output", out1)
         run(capsys, "freq", "--input", toy_corpus, "--output", out2)
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_pretagged_counts_words_not_tags(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt", ["a/DT dog/NN runs/VBZ ./."])
         out_path = str(tmp_path / "t.freq")
         code, _, _ = run(capsys, "freq", "--input", corpus, "--pretagged", "--output", out_path)
         assert code == 0
-        content = open(out_path, encoding="utf-8").read()
+        content = Path(out_path).read_text(encoding="utf-8")
         assert content == "#total 4\n.\t1\na\t1\ndog\t1\nruns\t1\n"
 
 
@@ -78,7 +79,7 @@ class TestMaskCommand:
         code, _, _ = run(capsys, "mask", "--input", corpus, "--strategy", "truncation",
                          "--k", "6", "--output", out_path)
         assert code == 0
-        assert open(out_path, encoding="utf-8").read() == "walk of the happy young couple\n"
+        assert Path(out_path).read_text(encoding="utf-8") == "walk of the happy young couple\n"
 
     def test_same_command_twice_identical(self, tmp_path, capsys, toy_corpus):
         outs = []
@@ -86,7 +87,7 @@ class TestMaskCommand:
             out_path = str(tmp_path / name)
             run(capsys, "mask", "--input", toy_corpus, "--strategy", "random",
                 "--k", "4", "--seed", "5", "--output", out_path)
-            outs.append(open(out_path, "rb").read())
+            outs.append(Path(out_path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_epoch_changes_random_not_truncation(self, tmp_path, capsys, toy_corpus):
@@ -97,7 +98,7 @@ class TestMaskCommand:
                 out_path = str(tmp_path / f"{strategy}{epoch}")
                 run(capsys, "mask", "--input", toy_corpus, "--strategy", strategy,
                     "--k", "4", "--seed", "5", "--epoch", epoch, "--output", out_path)
-                outs.append(open(out_path, "rb").read())
+                outs.append(Path(out_path).read_bytes())
             results[strategy] = outs[0] == outs[1]
         assert not results["random"]
         assert results["truncation"]
@@ -111,7 +112,7 @@ class TestMaskCommand:
             run(capsys, "mask", "--input", toy_corpus, "--strategy", "frequency",
                 "--k", "4", "--seed", "3", "--freq-table", freq_path,
                 "--threads", threads, "--output", out_path)
-            outs.append(open(out_path, "rb").read())
+            outs.append(Path(out_path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_missing_freq_table_is_usage_error(self, tmp_path, capsys, toy_corpus):
@@ -126,7 +127,7 @@ class TestMaskCommand:
         out_path = str(tmp_path / "m.tsv")
         run(capsys, "mask", "--input", corpus, "--format", "tsv",
             "--strategy", "truncation", "--k", "2", "--output", out_path)
-        assert open(out_path, encoding="utf-8").read() == "k9\tsome caption\n"
+        assert Path(out_path).read_text(encoding="utf-8") == "k9\tsome caption\n"
 
     def test_pretagged_syntax(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.txt",
@@ -134,7 +135,7 @@ class TestMaskCommand:
         out_path = str(tmp_path / "m.txt")
         run(capsys, "mask", "--input", corpus, "--strategy", "syntax", "--pretagged",
             "--k", "3", "--output", out_path)
-        assert open(out_path, encoding="utf-8").read() == "dog big cat\n"
+        assert Path(out_path).read_text(encoding="utf-8") == "dog big cat\n"
 
     def test_syntax_with_lexicon_file(self, tmp_path, capsys):
         lex_path = tmp_path / "lex.tsv"
@@ -145,7 +146,7 @@ class TestMaskCommand:
             "--lexicon", str(lex_path), "--k", "2", "--output", out_path)
         # a user lexicon replaces the built-in one entirely, so "the" falls
         # to the noun fallback; earliest nouns win
-        assert open(out_path, encoding="utf-8").read() == "the dog\n"
+        assert Path(out_path).read_text(encoding="utf-8") == "the dog\n"
 
 
 class TestDemoCommand:
@@ -198,7 +199,7 @@ class TestAnalyzeBudget:
         csv_path = str(tmp_path / "b.csv")
         code, out, _ = run(capsys, "analyze", "budget", "--output", csv_path)
         assert code == 0
-        lines = open(csv_path, encoding="utf-8").read().strip().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
         assert lines == [
             "image_tokens,text_tokens,total,percentage",
             "196,32,228,100.00",
@@ -249,7 +250,7 @@ class TestAnalyzeStats:
         assert code == 0
         assert "mean length  3.0000" in out
         assert "std length   1.0000" in out
-        lines = open(csv_path, encoding="utf-8").read().strip().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "sample_count,total_words,mean_length,std_length"
         assert lines[1] == "2,6,3.000000,1.000000"
 
@@ -262,7 +263,7 @@ class TestAnalyzeDist:
                          "--strategies", "truncation,random,block,frequency",
                          "--k", "6", "--top-n", "50", "--output", csv_path)
         assert code == 0
-        lines = open(csv_path, encoding="utf-8").read().strip().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "rank,word,before,after_truncation,after_random,after_block,after_frequency"
         assert len(lines) == 51  # header + 50 rows
         assert all(len(line.split(",")) == 7 for line in lines)
@@ -272,7 +273,7 @@ class TestAnalyzeDist:
         csv_path = str(tmp_path / "d.csv")
         run(capsys, "analyze", "dist", "--input", corpus, "--strategies", "truncation",
             "--k", "2", "--top-n", "3", "--output", csv_path)
-        lines = open(csv_path, encoding="utf-8").read().strip().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
         # truncation keeps [a,a] and [a,b]
         assert lines[1] == "1,a,3,3"
         assert lines[2] == "2,b,2,1"
@@ -290,7 +291,7 @@ class TestAnalyzePos:
                            "--strategies", "truncation,syntax", "--k", "3",
                            "--output", csv_path)
         assert code == 0
-        lines = open(csv_path, encoding="utf-8").read().strip().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "strategy,NN,JJ,VB,OTHER,total"
         # before: 4 NN, 2 JJ, 3 VB, 3 OTHER of 12
         assert lines[1] == "before,33.33,16.67,25.00,25.00,12"
@@ -309,7 +310,7 @@ class TestTagsPerCommand:
             code, _, _ = run(capsys, "analyze", "pos", "--input", corpus,
                              "--strategies", "truncation", "--output", csv_path, *extra)
             assert code == 0
-            return open(csv_path, encoding="utf-8").read().splitlines()[1]
+            return Path(csv_path).read_text(encoding="utf-8").splitlines()[1]
 
         # in both orders: the lexicon run tags dog JJ, the default run NN
         for _ in range(2):
@@ -325,7 +326,7 @@ class TestAnalyzeSlots:
                            "--strategies", "truncation,random,frequency,swclip",
                            "--k", "6", "--output", csv_path)
         assert code == 0
-        lines = open(csv_path, encoding="utf-8").read().strip().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
         values = {line.split(",")[0]: float(line.split(",")[1]) for line in lines[1:]}
         assert values["truncation"] == 1.0
         assert values["random"] == 1.0
@@ -334,6 +335,21 @@ class TestAnalyzeSlots:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("report,flag,value,message", [
+        (report, flag, value, message)
+        for report in ("dist", "pos", "slots")
+        for flag, value, message in (("--k", "0", "keep-length k must be >= 1, got 0"),
+                                     ("--t", "2", "threshold must be in (0, 1), got 2.0"))
+    ] + [("dist", "--top-n", "0", "top_n must be >= 1, got 0")])
+    def test_analyze_checks_arguments_before_reading_input(self, tmp_path, capsys, report,
+                                                           flag, value, message):
+        corpus = write_corpus(tmp_path / "c.jsonl", ['{"id": "1", "caption": "a dog"}',
+                                                     "{not json"])
+        code, _, err = run(capsys, "analyze", report, "--input", corpus, "--format", "jsonl",
+                           flag, value)
+        assert code == 1
+        assert err == f"error: {message}\n"
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "freq", "--input", str(tmp_path / "nope.txt"),
                            "--output", str(tmp_path / "t"))
@@ -350,7 +366,8 @@ class TestErrorHandling:
         out_path = str(tmp_path / "m.txt")
         run(capsys, "mask", "--input", toy_corpus, "--strategy", "truncation",
             "--output", out_path)
-        first = open(out_path, encoding="utf-8").readline().strip()
+        with open(out_path, encoding="utf-8") as fh:
+            first = fh.readline().strip()
         assert len(first.split()) == 2
 
     @pytest.mark.parametrize("name,value", [
@@ -374,7 +391,8 @@ class TestErrorHandling:
         code, _, _ = run(capsys, "mask", "--input", toy_corpus, "--strategy", "truncation",
                          "--k", "3", "--output", out_path)
         assert code == 0
-        first = open(out_path, encoding="utf-8").readline().strip()
+        with open(out_path, encoding="utf-8") as fh:
+            first = fh.readline().strip()
         assert len(first.split()) == 3
 
 
@@ -419,7 +437,7 @@ class TestLineEndingsCli:
 
     @pytest.mark.parametrize("strategy", ["frequency", "syntax", "random"])
     def test_crlf_corpus_masks_like_its_lf_twin(self, tmp_path, capsys, toy_corpus, strategy):
-        lf = open(toy_corpus, "rb").read()
+        lf = Path(toy_corpus).read_bytes()
         crlf = tmp_path / "toy_crlf.txt.gz"
         crlf.write_bytes(gzip.compress(lf.replace(b"\n", b"\r\n")))
         outputs = []
@@ -564,3 +582,19 @@ class TestAnalyzeMemory:
         two = peak("truncation,frequency")
         six = peak(",".join(STRATEGIES))
         assert six <= 1.2 * two, f"six strategies peak {six} B vs two {two} B"
+
+    @pytest.mark.parametrize("lines,extra", [
+        (["the big dog", "a big dog", "the dog sleeps"], []),
+        (["the/DT big/JJ dog/NN", "a/DT big/JJ dog/NN", "the/DT dog/NN sleeps/VBZ"],
+         ["--pretagged"]),
+    ])
+    def test_prepared_corpus_holds_one_string_per_word_type(self, tmp_path, lines, extra):
+        corpus = write_corpus(tmp_path / "c.txt", lines)
+        parser = build_parser()
+        args = parser.parse_args(["analyze", "pos", "--input", corpus, *extra])
+        prepared, _ = _analyze_corpus(args, parser)
+        held = {}
+        for tokens, _ in prepared:
+            for token in tokens:
+                assert held.setdefault(token, token) is token
+        assert sum(len(tokens) for tokens, _ in prepared) == 9 and len(held) == 5

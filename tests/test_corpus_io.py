@@ -6,6 +6,7 @@ import re
 import stat
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -136,24 +137,25 @@ class TestWriteMasked:
         path = str(tmp_path / "out.tsv")
         rec = CaptionRecord(0, "1", "a b c")
         write_masked([(rec, mask_truncation(["a", "b", "c"], 2))], path, "tsv")
-        assert open(path, encoding="utf-8").read() == "1\ta b\n"
+        assert Path(path).read_text(encoding="utf-8") == "1\ta b\n"
 
     def test_empty_kept_still_emitted(self, tmp_path):
         path = str(tmp_path / "out.tsv")
         rec = CaptionRecord(0, "9", "")
         write_masked([(rec, mask_truncation([], 2))], path, "tsv")
-        assert open(path, encoding="utf-8").read() == "9\t\n"
+        assert Path(path).read_text(encoding="utf-8") == "9\t\n"
 
     def test_record_count_preserved(self, tmp_path):
         path = str(tmp_path / "out.txt")
         n = write_masked(self.pairs(["a b c", "", "d"]), path, "plain")
         assert n == 3
-        assert open(path, encoding="utf-8").read() == "a b\n\nd\n"
+        assert Path(path).read_text(encoding="utf-8") == "a b\n\nd\n"
 
     def test_jsonl_output(self, tmp_path):
         path = str(tmp_path / "out.jsonl")
         write_masked(self.pairs(["hello world again"]), path, "jsonl")
-        obj = json.loads(open(path, encoding="utf-8").readline())
+        with open(path, encoding="utf-8") as fh:
+            obj = json.loads(fh.readline())
         assert obj == {"id": "1", "caption": "hello world"}
 
     def test_round_trip_plain(self, tmp_path):
@@ -330,7 +332,7 @@ class TestTsvIds:
         path = str(tmp_path / "out.jsonl")
         rec = CaptionRecord(0, "x\ty", "a b")
         write_masked([(rec, mask_truncation(["a", "b"], 2))], path, "jsonl")
-        assert json.loads(open(path, encoding="utf-8").read())["id"] == "x\ty"
+        assert json.loads(Path(path).read_text(encoding="utf-8"))["id"] == "x\ty"
 
 
 class TestAtomicWrite:

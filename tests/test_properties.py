@@ -4,8 +4,10 @@ Token lists come from ``tokenize`` over arbitrary Unicode text. Every
 strategy must keep a subsequence of its input, in order, fill
 min(n, k) slots (swclip: at most that many), and give the same output for
 the same (tokens, config, seed). Frequency tables built from such tokens
-must survive a dump/parse round trip unchanged, and merging them must
-not depend on order. Tagging through a memo and the syntax ranking must
+must survive a dump/parse round trip unchanged and be written in
+descending-count order, ties lexicographic, and merging them must not
+depend on order. The distribution report's top-N rows must equal a full
+sort's first N. Tagging through a memo and the syntax ranking must
 agree with their direct definitions, and the jsonl line formatter with
 ``json.dumps``.
 """
@@ -14,12 +16,15 @@ import io
 import json
 import os
 import tempfile
+from collections import Counter
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from textmask.analysis import distribution_report
 from textmask.corpus_io import CaptionRecord, line_formatter
 from textmask.freq import (
+    FrequencyTable,
     build_frequency_table,
     dump_frequency_table,
     load_frequency_table,
@@ -36,7 +41,7 @@ from textmask.maskers import (
     record_seed,
 )
 from textmask.postag import CATEGORIES, DEFAULT_LEXICON, TagMemo, heuristic_tag, tag
-from textmask.tokenizer import tokenize
+from textmask.tokenizer import is_special_token, tokenize
 
 texts = st.lists(st.text(min_size=1, max_size=8), max_size=30).map(" ".join)
 token_lists = texts.map(tokenize)
@@ -92,6 +97,33 @@ def test_frequency_table_merge_is_associative_and_commutative(corpora):
     assert merge(merge(a, b), c) == merge(a, merge(b, c))
     assert merge(a, b) == merge(b, a)
     assert merge(merge(a, b), c) == build_frequency_table(corpora)
+
+
+table_words = st.one_of(st.text(min_size=1, max_size=6),
+                        st.text(alphabet="aAé日ß", min_size=1, max_size=3))
+
+
+@given(counts=st.dictionaries(table_words, st.integers(1, 4), max_size=40))
+def test_frequency_table_is_written_by_descending_count_then_word(counts):
+    table = FrequencyTable(counts, sum(counts.values()))
+    buffer = io.StringIO()
+    dump_frequency_table(table, buffer)
+    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert buffer.getvalue() == f"#total {table.total}\n" + "".join(
+        f"{word}\t{count}\n" for word, count in rows)
+
+
+@given(corpus=st.lists(st.lists(st.sampled_from(["b", "a", "c", "é", "日本", "ß", ".", "x"]),
+                                max_size=8), max_size=8))
+@example(corpus=[["c", "b", "a", "c", "日本"]])  # a, b, 日本 tie across cutoffs 2 and 3
+def test_distribution_top_n_equals_full_sort_prefix(corpus):
+    counts = Counter(token for tokens in corpus for token in tokens)
+    ranking = sorted(((w, c) for w, c in counts.items() if not is_special_token(w)),
+                     key=lambda kv: (-kv[1], kv[0]))
+    for top_n in range(1, len(ranking) + 2):
+        rows = distribution_report(corpus, {}, top_n).rows
+        assert [(row.rank, row.word, row.before) for row in rows] == [
+            (rank, word, count) for rank, (word, count) in enumerate(ranking[:top_n], start=1)]
 
 
 words = st.text(max_size=6)
