@@ -78,18 +78,20 @@ def distribution_report(
     before_counts: Counter[str] = Counter()
     for tokens in before:
         before_counts.update(tokens)
-    # Strip special tokens once per word type. The after-counts are read only
-    # for ranked words, which are never special, so they need no stripping.
+    # Strip special tokens once per word type. The after-counts hold only
+    # ranked words, which are never special, so they need no stripping.
     for word in [w for w in before_counts if is_special_token(w)]:
         del before_counts[word]
+    # Equal to sorted(...)[:top_n], but holds only top_n items and keys at a time.
+    ranked = heapq.nsmallest(top_n, before_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    # Each strategy counts only the ranked words: top_n entries, not the vocabulary.
+    is_ranked = dict(ranked).__contains__
     after_counts: dict[str, Counter[str]] = {}
     for strategy, outputs in after.items():
         counts: Counter[str] = Counter()
         for output in _exactly(outputs, len(before), "before", strategy):
-            counts.update(output.kept)
+            counts.update(filter(is_ranked, output.kept))
         after_counts[strategy] = counts
-    # Equal to sorted(...)[:top_n], but holds only top_n items and keys at a time.
-    ranked = heapq.nsmallest(top_n, before_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = [
         DistributionRow(
             rank=i,

@@ -64,11 +64,17 @@ def prepare_record(
     return tokens, tags
 
 
+# Strategies that draw random numbers; truncation and syntax never read a seed.
+_SEEDED = FREQUENCY_STRATEGIES | {"random", "block"}
+
+
 def _mask(tokens: Sequence[str], tags: Sequence[str] | None, config: MaskingConfig,
           index: int) -> MaskedOutput:
     """Mask record ``index`` of a corpus pass. Its seed depends only on
     (config.seed, index, config.epoch), never on processing order."""
-    return apply_mask(tokens, config, tags=tags, seed=record_seed(config.seed, index, config.epoch))
+    seed = (record_seed(config.seed, index, config.epoch) if config.strategy in _SEEDED
+            else None)
+    return apply_mask(tokens, config, tags=tags, seed=seed)
 
 
 def mask_records(

@@ -22,6 +22,17 @@ caller's lines never stand in for a worker's.
 Workers are forked, not spawned: they inherit the frequency table, tag
 memo and config already built, and nothing is pickled. The input must be
 a regular file, since every worker opens and reads it from the start.
+
+Each worker runs on its own share of the CPUs this process may use: the
+sorted CPUs are dealt round-robin into one set per worker, and each
+worker restricts itself to its set. Left unpinned, the scheduler tends to
+wake a process on the CPU of the process that woke it, so on a small
+machine the caller and a worker trading frames over a pipe share one CPU
+and run no faster than one process. Pinning is best effort: where the
+platform lacks ``os.sched_setaffinity``, there are fewer CPUs than
+workers, or a call fails, the workers run unpinned. The caller pins
+itself only after the last fork, so no worker inherits its set, and it
+gets its own CPUs back before ``write_sharded`` returns or raises.
 """
 
 from __future__ import annotations
@@ -63,6 +74,8 @@ def write_sharded(
     """
     line = line_formatter(format)
     children: list[tuple[int, IO[bytes]]] = []
+    cpu_sets = _cpu_sets(workers)
+    pinned = False
     sys.stdout.flush()
     sys.stderr.flush()
     try:
@@ -76,10 +89,13 @@ def write_sharded(
                 raise
             if pid == 0:
                 inherited = [read_fd] + [reader.fileno() for _, reader in children]
-                _serve(pairs_for, line, worker, workers, write_fd, inherited)
+                _serve(pairs_for, line, worker, workers, write_fd, inherited,
+                       cpu_sets and cpu_sets[worker])
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
 
+        if cpu_sets:
+            pinned = _pin(cpu_sets[0])
         own = pairs_for(_owner(0, workers))
         written = 0
         with open_text_write(path) as fh:
@@ -102,6 +118,8 @@ def write_sharded(
                 if records < B:
                     return written
     finally:
+        if pinned:
+            _pin(set().union(*cpu_sets))  # every CPU it had before
         for _, reader in children:
             reader.close()
         for pid, _ in children:
@@ -109,6 +127,26 @@ def write_sharded(
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
+
+
+def _cpu_sets(workers: int) -> list[set[int]] | None:
+    """The CPUs this process may use, dealt round-robin into one set per
+    worker; None where they cannot be pinned or are fewer than workers."""
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < workers:
+        return None
+    return [set(cpus[worker::workers]) for worker in range(workers)]
+
+
+def _pin(cpus: set[int]) -> bool:
+    """Restrict this process to ``cpus``; False, and no change, if that fails."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
 
 
 def _owner(worker: int, workers: int) -> Callable[[int], bool]:
@@ -121,14 +159,17 @@ def _block_lines(pairs: Pairs, line: Line) -> list[str]:
 
 
 def _serve(pairs_for, line: Line, worker: int, workers: int, write_fd: int,
-           inherited: list[int]) -> None:
-    """A forked worker's whole life: close the read ends it inherited, send
-    its blocks, then leave via ``os._exit``, never returning to the caller.
-    On any error it stops sending; the caller finds its frame missing."""
+           inherited: list[int], cpus: set[int] | None) -> None:
+    """A forked worker's whole life: close the read ends it inherited, pin
+    itself to ``cpus`` if given, send its blocks, then leave via
+    ``os._exit``, never returning to the caller. On any error it stops
+    sending; the caller finds its frame missing."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
+        if cpus:
+            _pin(cpus)
         with os.fdopen(write_fd, "wb") as out:
             pairs = pairs_for(_owner(worker, workers))
             while True:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,25 @@ def zipf_corpus() -> list[list[str]]:
 @pytest.fixture(scope="session")
 def pos_corpus() -> tuple[list[list[str]], list[list[str]]]:
     return make_pos_corpus()
+
+
+# Bound at import, so a test that patches os.sched_getaffinity cannot hide
+# what the process's affinity really is.
+_get_affinity = getattr(os, "sched_getaffinity", None)
+_set_affinity = getattr(os, "sched_setaffinity", None)
+
+
+@pytest.fixture(autouse=True)
+def affinity_unchanged():
+    """Fail a test that leaves this process's CPU affinity changed (as a
+    sharded ``mask`` run that did not unpin its caller would), and give the
+    process its CPUs back so the rest of the suite does not run on fewer."""
+    if _get_affinity is None:
+        yield
+        return
+    before = _get_affinity(0)
+    yield
+    after = _get_affinity(0)
+    if after != before:
+        _set_affinity(0, before)
+        pytest.fail(f"CPU affinity left at {sorted(after)}, was {sorted(before)}")

@@ -24,6 +24,12 @@ from textmask.maskers import STRATEGIES
 BLOCK = 7
 RECORDS = 150  # > 3 * 3 blocks of 7, plus a short last block
 
+# The CPUs this process may really use, read before any test patches them.
+REAL_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+needs_pinning = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(REAL_CPUS) < 2,
+    reason="needs os.sched_setaffinity and 2 CPUs")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -38,11 +44,16 @@ def assert_no_children():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Blocks of BLOCK records and 4 CPUs; returns a setter for the CPU count."""
+    """Blocks of BLOCK records and 4 CPUs; returns a setter for the CPU count.
+
+    The CPUs are the real ones, then made-up ids past any real CPU, so
+    pinning to a made-up id fails and restoring the caller's CPUs never
+    gives it a real CPU it did not have."""
     monkeypatch.setattr(shard, "B", BLOCK)
 
     def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        fake = set(sorted(REAL_CPUS | set(range(1 << 16, (1 << 16) + n)))[:n])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: fake, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: n)
 
     set_cpus(4)
@@ -411,3 +422,105 @@ def test_stream_input_runs_in_one_process(tmp_path, capsys, corpus, cpus, forks,
             os.close(read_fd)
     assert forks == []
     assert one.read_bytes() == many.read_bytes()
+
+
+def test_cpus_dealt_round_robin(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 0, 2, 5, 3}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    assert shard._cpu_sets(2) == [{0, 3, 7}, {2, 5}]
+    assert shard._cpu_sets(5) == [{0}, {2}, {3}, {5}, {7}]
+    assert shard._cpu_sets(6) is None
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert shard._cpu_sets(2) is None
+
+
+@needs_pinning
+def test_workers_run_on_disjoint_cpus(tmp_path, capsys, corpus, monkeypatch):
+    """Each masked record logs ``pid cpus`` from whichever process masks it."""
+    monkeypatch.setattr(shard, "B", BLOCK)
+    log = tmp_path / "affinity.log"
+    real_seed = cli.record_seed
+
+    def record_seed(seed, i, epoch=0):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {' '.join(map(str, sorted(os.sched_getaffinity(0))))}\n")
+        return real_seed(seed, i, epoch)
+
+    monkeypatch.setattr(cli, "record_seed", record_seed)
+    assert mask(capsys, corpus, "frequency", tmp_path / "m.txt", 2)[0] == 0
+    by_pid = {}
+    for entry in log.read_text(encoding="utf-8").splitlines():
+        pid, *cpus = map(int, entry.split())
+        by_pid.setdefault(pid, set()).add(frozenset(cpus))
+    assert len(by_pid) == 2 and os.getpid() in by_pid
+    assert all(len(sets) == 1 for sets in by_pid.values())
+    caller, worker = by_pid.pop(os.getpid()).pop(), by_pid.popitem()[1].pop()
+    assert caller and worker and not caller & worker
+    assert caller | worker == REAL_CPUS
+    assert os.sched_getaffinity(0) == REAL_CPUS
+
+
+@needs_pinning
+@pytest.mark.parametrize("bad_record", [None, 10, 16])
+def test_caller_gets_its_cpus_back(tmp_path, capsys, monkeypatch, bad_record):
+    """After a clean run, and after a bad record in a worker's block (10)
+    or in the caller's own (16)."""
+    monkeypatch.setattr(shard, "B", BLOCK)
+    pinned = []
+    real_set = os.sched_setaffinity
+
+    def set_affinity(pid, cpus):
+        pinned.append(set(cpus))
+        real_set(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
+    path = jsonl_corpus(tmp_path, bad_json=() if bad_record is None else (bad_record,))
+    code, _, err = run(capsys, "mask", "--input", str(path), "--format", "jsonl",
+                       "--strategy", "random", "--output", str(tmp_path / "m.txt"),
+                       "--threads", "2")
+    assert code == (0 if bad_record is None else 1)
+    assert bad_record is None or f":{bad_record + 1}: invalid JSON" in err
+    assert len(pinned) == 2 and pinned[0] < REAL_CPUS and pinned[1] == REAL_CPUS
+    assert os.sched_getaffinity(0) == REAL_CPUS
+    assert_no_children()
+
+
+@needs_pinning
+def test_caller_gets_its_cpus_back_on_interrupt(tmp_path, capsys, corpus, monkeypatch):
+    """Ctrl-C while the caller, pinned, masks its own block 2."""
+    monkeypatch.setattr(shard, "B", BLOCK)
+    real_seed = cli.record_seed
+
+    def record_seed(seed, i, epoch=0):
+        if i == 2 * BLOCK:
+            raise KeyboardInterrupt
+        return real_seed(seed, i, epoch)
+
+    monkeypatch.setattr(cli, "record_seed", record_seed)
+    with pytest.raises(KeyboardInterrupt):
+        mask(capsys, corpus, "random", tmp_path / "m.txt", 2)
+    assert os.sched_getaffinity(0) == REAL_CPUS
+    assert_no_children()
+
+
+@pytest.mark.parametrize("pinning", ["fails", "missing"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_unpinned_output_equals_one_process(tmp_path, capsys, corpus, cpus, forks, monkeypatch,
+                                            workers, pinning):
+    one, many = tmp_path / "one.txt", tmp_path / "many.txt"
+    assert mask(capsys, corpus, "frequency", one, 1)[0] == 0
+    calls = []
+    if pinning == "fails":
+        def refuse(pid, cpus):
+            calls.append(cpus)
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    code, stdout, _ = mask(capsys, corpus, "frequency", many, workers)
+    assert code == 0 and stdout == f"masked {RECORDS} captions -> {many}\n"
+    assert len(forks) == workers - 1
+    assert len(calls) == (1 if pinning == "fails" else 0)  # the caller tried once
+    assert one.read_bytes() == many.read_bytes()
+    assert_no_children()
