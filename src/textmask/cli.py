@@ -37,6 +37,7 @@ from .freq import (
 )
 from .maskers import (
     FREQUENCY_STRATEGIES,
+    SEEDED_STRATEGIES,
     STRATEGIES,
     MaskedOutput,
     MaskingConfig,
@@ -64,16 +65,12 @@ def prepare_record(
     return tokens, tags
 
 
-# Strategies that draw random numbers; truncation and syntax never read a seed.
-_SEEDED = FREQUENCY_STRATEGIES | {"random", "block"}
-
-
 def _mask(tokens: Sequence[str], tags: Sequence[str] | None, config: MaskingConfig,
           index: int) -> MaskedOutput:
     """Mask record ``index`` of a corpus pass. Its seed depends only on
     (config.seed, index, config.epoch), never on processing order."""
-    seed = (record_seed(config.seed, index, config.epoch) if config.strategy in _SEEDED
-            else None)
+    seed = (record_seed(config.seed, index, config.epoch)
+            if config.strategy in SEEDED_STRATEGIES else None)
     return apply_mask(tokens, config, tags=tags, seed=seed)
 
 

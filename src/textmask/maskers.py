@@ -36,6 +36,9 @@ STRATEGIES = ("truncation", "random", "block", "syntax", "frequency", "swclip")
 # Strategies whose masking decision needs a frequency table.
 FREQUENCY_STRATEGIES = frozenset({"frequency", "swclip"})
 
+# Strategies that draw random numbers; truncation and syntax ignore any seed.
+SEEDED_STRATEGIES = FREQUENCY_STRATEGIES | {"random", "block"}
+
 _PRIORITY = {"NN": 0, "JJ": 1, "VB": 2, "OTHER": 3}
 
 # Floor for removal weights so that captions where more than n-k tokens have

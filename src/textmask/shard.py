@@ -25,14 +25,16 @@ a regular file, since every worker opens and reads it from the start.
 
 Each worker runs on its own share of the CPUs this process may use: the
 sorted CPUs are dealt round-robin into one set per worker, and each
-worker restricts itself to its set. Left unpinned, the scheduler tends to
-wake a process on the CPU of the process that woke it, so on a small
+worker restricts itself to its set. Left unpinned, the scheduler tends
+to wake a process on the CPU of the process that woke it, so on a small
 machine the caller and a worker trading frames over a pipe share one CPU
 and run no faster than one process. Pinning is best effort: where the
-platform lacks ``os.sched_setaffinity``, there are fewer CPUs than
-workers, or a call fails, the workers run unpinned. The caller pins
-itself only after the last fork, so no worker inherits its set, and it
-gets its own CPUs back before ``write_sharded`` returns or raises.
+platform lacks ``os.sched_setaffinity`` or a call fails, the workers run
+unpinned. The caller pins itself only after the last fork, so no worker
+inherits its set, and it gets its own CPUs back before ``write_sharded``
+returns or raises. A pinned process cannot leave a CPU that other work
+keeps busy, so with one CPU per worker a busy neighbour slows the whole
+run.
 """
 
 from __future__ import annotations
@@ -131,12 +133,10 @@ def write_sharded(
 
 def _cpu_sets(workers: int) -> list[set[int]] | None:
     """The CPUs this process may use, dealt round-robin into one set per
-    worker; None where they cannot be pinned or are fewer than workers."""
+    worker; None where they cannot be pinned."""
     if not hasattr(os, "sched_getaffinity") or not hasattr(os, "sched_setaffinity"):
         return None
     cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) < workers:
-        return None
     return [set(cpus[worker::workers]) for worker in range(workers)]
 
 
