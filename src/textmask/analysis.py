@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .maskers import MaskedOutput
+from .maskers import MaskedOutput, _check_k
 from .postag import CATEGORIES
 from .tokenizer import is_special_token
 
@@ -292,8 +292,7 @@ def slot_utilization(masked: Iterable[MaskedOutput], k: int) -> float:
     and rounded once, so it depends neither on record order nor on how
     this Python sums floats.
     """
-    if k < 1:
-        raise ValueError(f"keep-length k must be >= 1, got {k}")
+    _check_k(k)
     fills = Counter((len(output.kept), min(output.source_length, k))
                     for output in masked if output.source_length > 0)
     if not fills:

@@ -8,9 +8,11 @@ Subcommands:
     analyze    dist | pos | budget | stats | slots reports (table to stdout,
                CSV to --output)
 
-``mask --threads N`` masks on up to N forked processes (no more than the
-CPUs this process may use; one where ``os.fork`` is missing or the input
-is not a regular file) and writes byte-identical output for any N.
+``mask --threads N`` masks on up to N forked worker processes (no more
+than the CPUs this process may use) while this process only writes their
+blocks in input order, and writes byte-identical output for any N. Where
+``os.fork`` is missing or the input is not a regular file, this process
+masks alone.
 
 Defaults for k, threshold, seed and threads can be overridden with the
 TEXTMASK_K, TEXTMASK_T, TEXTMASK_SEED and TEXTMASK_THREADS environment

@@ -171,6 +171,9 @@ def parse_frequency_table(lines: Iterator[str], source: str = "<stream>") -> Fre
         counts[word] = count
     if sum(counts.values()) != total:
         raise ValueError(f"{source}: header total {total} does not match sum of counts")
+    if total == 0:
+        # Every word would be unknown, so frequency masking would turn uniform.
+        raise ValueError(f"{source}: empty frequency table (total 0)")
     return FrequencyTable(counts, total)
 
 

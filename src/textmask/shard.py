@@ -1,11 +1,11 @@
 """Mask a corpus across forked worker processes, byte-identical to one process.
 
 Records are dealt out in blocks of ``B``: record ``i`` belongs to worker
-``(i // B) % workers``. Worker 0 is the calling process; the others are
-forked from it. Every worker reads the whole input itself and masks only
-the records it owns. A forked worker sends each finished block to the
-caller as one frame over its own pipe, and the caller writes blocks 0, 1,
-2, ... to the output file, masking its own blocks in turn, so the output
+``(i // B) % workers``. All ``workers`` workers are forked from the
+calling process, which masks nothing itself: it only merges. Every
+worker reads the whole input itself, masks only the records it owns and
+sends each finished block to the caller as one frame over its own pipe.
+The caller writes blocks 0, 1, 2, ... to the output file, so the output
 is the serial output and no process holds more than about one block of it.
 
 A frame is a header (records, payload bytes) and a payload, the block's
@@ -27,14 +27,12 @@ Each worker runs on its own share of the CPUs this process may use: the
 sorted CPUs are dealt round-robin into one set per worker, and each
 worker restricts itself to its set. Left unpinned, the scheduler tends
 to wake a process on the CPU of the process that woke it, so on a small
-machine the caller and a worker trading frames over a pipe share one CPU
-and run no faster than one process. Pinning is best effort: where the
-platform lacks ``os.sched_setaffinity`` or a call fails, the workers run
-unpinned. The caller pins itself only after the last fork, so no worker
-inherits its set, and it gets its own CPUs back before ``write_sharded``
-returns or raises. A pinned process cannot leave a CPU that other work
-keeps busy, so with one CPU per worker a busy neighbour slows the whole
-run.
+machine two processes trading frames over a pipe share one CPU and run
+no faster than one. Pinning is best effort: where the platform lacks
+``os.sched_setaffinity`` or a call fails, the workers run unpinned. Only
+the workers pin; the caller's own CPU affinity is never touched. A
+pinned worker cannot leave a CPU that other work keeps busy, so with one
+CPU per worker a busy neighbour slows the whole run.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ def write_sharded(
     workers: int,
 ) -> int:
     """Write what ``write_masked(pairs_for(lambda i: True), path, format)``
-    writes, with the masking spread over ``workers`` processes.
+    writes, with the masking spread over ``workers`` forked processes.
 
     ``pairs_for(owns)`` must yield the masked pairs of exactly the records
     whose index satisfies ``owns``, in input order; each worker calls it
@@ -77,11 +75,10 @@ def write_sharded(
     line = line_formatter(format)
     children: list[tuple[int, IO[bytes]]] = []
     cpu_sets = _cpu_sets(workers)
-    pinned = False
     sys.stdout.flush()
     sys.stderr.flush()
     try:
-        for worker in range(1, workers):
+        for worker in range(workers):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -96,32 +93,22 @@ def write_sharded(
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
 
-        if cpu_sets:
-            pinned = _pin(cpu_sets[0])
-        own = pairs_for(_owner(0, workers))
         written = 0
         with open_text_write(path) as fh:
             for block in itertools.count():
-                worker = block % workers
-                if worker == 0:
-                    lines = _block_lines(own, line)
-                    records, text = len(lines), "".join(lines)
-                else:
-                    pid, reader = children[worker - 1]
-                    frame = _receive(reader)
-                    if frame is None:
-                        # A bad record in this block raises here as in one process.
-                        _block_lines(pairs_for(lambda i: i // B == block), line)
-                        raise ChildProcessError(
-                            f"mask worker {pid} exited before sending block {block}")
-                    records, text = frame
+                pid, reader = children[block % workers]
+                frame = _receive(reader)
+                if frame is None:
+                    # A bad record in this block raises here as in one process.
+                    _block_lines(pairs_for(lambda i: i // B == block), line)
+                    raise ChildProcessError(
+                        f"mask worker {pid} exited before sending block {block}")
+                records, text = frame
                 fh.write(text)
                 written += records
                 if records < B:
                     return written
     finally:
-        if pinned:
-            _pin(set().union(*cpu_sets))  # every CPU it had before
         for _, reader in children:
             reader.close()
         for pid, _ in children:
@@ -138,15 +125,6 @@ def _cpu_sets(workers: int) -> list[set[int]] | None:
         return None
     cpus = sorted(os.sched_getaffinity(0))
     return [set(cpus[worker::workers]) for worker in range(workers)]
-
-
-def _pin(cpus: set[int]) -> bool:
-    """Restrict this process to ``cpus``; False, and no change, if that fails."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        return False
-    return True
 
 
 def _owner(worker: int, workers: int) -> Callable[[int], bool]:
@@ -169,7 +147,8 @@ def _serve(pairs_for, line: Line, worker: int, workers: int, write_fd: int,
         for fd in inherited:
             os.close(fd)
         if cpus:
-            _pin(cpus)
+            with contextlib.suppress(OSError):  # best effort: run unpinned
+                os.sched_setaffinity(0, cpus)
         with os.fdopen(write_fd, "wb") as out:
             pairs = pairs_for(_owner(worker, workers))
             while True:

@@ -101,7 +101,7 @@ _set_affinity = getattr(os, "sched_setaffinity", None)
 @pytest.fixture(autouse=True)
 def affinity_unchanged():
     """Fail a test that leaves this process's CPU affinity changed (as a
-    sharded ``mask`` run that did not unpin its caller would), and give the
+    sharded ``mask`` run that pinned its caller would), and give the
     process its CPUs back so the rest of the suite does not run on fewer."""
     if _get_affinity is None:
         yield
@@ -112,3 +112,21 @@ def affinity_unchanged():
     if after != before:
         _set_affinity(0, before)
         pytest.fail(f"CPU affinity left at {sorted(after)}, was {sorted(before)}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped (as a
+    sharded ``mask`` run that did not kill and reap its workers would)."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    unreaped = []  # reaped here, so the next test is not blamed for them
+    try:
+        while pid := os.waitpid(-1, os.WNOHANG)[0]:
+            unreaped.append(pid)
+        running = True
+    except ChildProcessError:
+        running = False
+    if unreaped or running:
+        pytest.fail(f"child processes left unreaped: {unreaped}, left running: {running}")

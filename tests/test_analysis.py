@@ -274,6 +274,10 @@ class TestSlotUtilization:
     def test_no_records_is_vacuous(self):
         assert slot_utilization([], 4) == 1.0
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="keep-length k must be >= 1, got 0"):
+            slot_utilization([], 0)
+
     def test_swclip_on_all_rare_corpus_fills_slots(self):
         # every word at or below the threshold has masking probability 0
         from textmask.freq import FrequencyTable

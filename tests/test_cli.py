@@ -122,6 +122,19 @@ class TestMaskCommand:
         assert exc.value.code == 2
         assert "--freq-table" in capsys.readouterr().err
 
+    def test_empty_freq_table_fails(self, tmp_path, capsys, toy_corpus):
+        """A table that counts nothing would leave every word unknown, so
+        frequency masking would silently turn uniform."""
+        table = tmp_path / "e.freq"
+        table.write_text("#total 0\n", encoding="utf-8")
+        out = tmp_path / "m.txt"
+        out.write_bytes(b"old\n")
+        code, stdout, err = run(capsys, "mask", "--input", toy_corpus, "--strategy", "frequency",
+                                "--freq-table", str(table), "--k", "2", "--output", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: {table}: ") and "empty" in err
+        assert out.read_bytes() == b"old\n"
+
     def test_tsv_format_preserves_ids(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.tsv", ["k9\tsome caption words here"])
         out_path = str(tmp_path / "m.tsv")

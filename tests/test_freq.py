@@ -200,6 +200,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="total"):
             parse_frequency_table(iter(["#total 5\n", "a\t1\n"]))
 
+    def test_zero_total_rejected(self):
+        with pytest.raises(ValueError, match=r"^t\.freq: empty frequency table"):
+            parse_frequency_table(iter(["#total 0\n"]), source="t.freq")
+
     def test_malformed_count_names_line(self):
         with pytest.raises(ValueError, match=":2"):
             parse_frequency_table(iter(["#total 1\n", "a\tx\n"]))

@@ -46,10 +46,10 @@ def assert_no_children():
 def cpus(monkeypatch):
     """Blocks of BLOCK records and 4 CPUs; returns a setter for the CPU count.
 
-    Pinning is a no-op, so these made-up CPU sets never reach the kernel;
-    the ``needs_pinning`` tests pin for real."""
+    Only the forked workers pin, so a made-up CPU set reaches no further
+    than a worker's own affinity (a set the kernel refuses leaves that
+    worker unpinned); the ``needs_pinning`` tests pin for real."""
     monkeypatch.setattr(shard, "B", BLOCK)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
 
     def set_cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -114,7 +114,7 @@ def test_output_equals_one_process(tmp_path, capsys, corpus, cpus, forks, worker
         assert code == 0
         assert stdout == f"masked {RECORDS} captions -> {out}\n"
         outputs.append(read(out))
-    assert len(forks) == workers - 1
+    assert len(forks) == workers
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == RECORDS
     assert_no_children()
@@ -148,8 +148,8 @@ def jsonl_corpus(tmp_path, bad_json=(), tsv_unsafe=()):
     return path
 
 
-# Record 10 is in block 1 (child-owned for N = 2 and 3), 16 in block 2
-# (the parent's for N = 2, the second child's for N = 3). A worker that
+# Record 10 is in block 1 (worker 1's for N = 2 and 3), 16 in block 2
+# (worker 0's for N = 2, worker 2's for N = 3). A worker that
 # read past the end of its block would meet a later bad line early and
 # report it in place of an earlier bad record.
 @pytest.mark.parametrize("bad_json,tsv_unsafe,message", [
@@ -234,7 +234,7 @@ def test_threads_capped_at_cpu_count(tmp_path, capsys, corpus, cpus, forks):
     out = tmp_path / "m.txt"
     code, stdout, _ = mask(capsys, corpus, "frequency", out, 64)
     assert code == 0 and stdout.count("masked") == 1
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert_no_children()
 
 
@@ -242,7 +242,7 @@ def test_cpu_count_used_without_affinity(tmp_path, capsys, corpus, cpus, forks, 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert mask(capsys, corpus, "random", tmp_path / "m.txt", 64)[0] == 0
-    assert len(forks) == 2
+    assert len(forks) == 3
 
 
 @pytest.mark.parametrize("threads", [1, 0, -3])
@@ -266,7 +266,7 @@ def test_worker_that_dies_fails_the_run(tmp_path, capsys, corpus, cpus, monkeypa
     out.write_bytes(b"old\n")
     code, stdout, err = mask(capsys, corpus, "random", out, 2)
     assert code == 1 and stdout == ""
-    assert "error: mask worker" in err and "exited before sending block 1" in err
+    assert "error: mask worker" in err and "exited before sending block 0" in err
     assert out.read_bytes() == b"old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.freq", "c.tsv", "m.txt"]
     assert_no_children()
@@ -275,7 +275,7 @@ def test_worker_that_dies_fails_the_run(tmp_path, capsys, corpus, cpus, monkeypa
 @pytest.mark.parametrize("workers", [2, 3])
 def test_bad_gzip_trailer_reported_like_one_process(tmp_path, capsys, cpus, workers):
     """A gzip CRC error is raised at the end of the input, by whichever
-    worker reads to it: with 2 workers a forked one owns the last block."""
+    worker reads to it."""
     path = tmp_path / "c.txt.gz"
     data = bytearray(gzip.compress("".join(f"caption {i} words\n" for i in range(RECORDS))
                                    .encode("utf-8")))
@@ -321,9 +321,8 @@ def ends_like_one_process(tmp_path, capsys, workers, *argv):
     return ends[1]
 
 
-# Record 10 is in block 1, which a forked worker owns for N = 2 and 3;
-# record 16 is in block 2, the caller's for N = 2 and the second forked
-# worker's for N = 3.
+# Record 10 is in block 1, worker 1's for N = 2 and 3; record 16 is in
+# block 2, worker 0's for N = 2 and worker 2's for N = 3.
 @pytest.mark.parametrize("index", [10, 16])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_any_exception_ends_like_one_process(tmp_path, capsys, cpus, monkeypatch, workers,
@@ -450,53 +449,56 @@ def test_workers_run_on_disjoint_cpus(tmp_path, capsys, corpus, monkeypatch):
     for entry in log.read_text(encoding="utf-8").splitlines():
         pid, *cpus = map(int, entry.split())
         by_pid.setdefault(pid, set()).add(frozenset(cpus))
-    assert len(by_pid) == 2 and os.getpid() in by_pid
+    assert len(by_pid) == 2 and os.getpid() not in by_pid
     assert all(len(sets) == 1 for sets in by_pid.values())
-    caller, worker = by_pid.pop(os.getpid()).pop(), by_pid.popitem()[1].pop()
-    assert caller and worker and not caller & worker
-    assert caller | worker == REAL_CPUS
+    first, second = (sets.pop() for sets in by_pid.values())
+    assert first and second and not first & second
+    assert first | second == REAL_CPUS
     assert os.sched_getaffinity(0) == REAL_CPUS
 
 
 @needs_pinning
-@pytest.mark.parametrize("bad_record", [None, 10, 16])
-def test_caller_gets_its_cpus_back(tmp_path, capsys, monkeypatch, bad_record):
-    """After a clean run, and after a bad record in a worker's block (10)
-    or in the caller's own (16)."""
+@pytest.mark.parametrize("ending", ["clean", "bad-block-0", "bad-block-1", "interrupt"])
+def test_caller_affinity_never_set(tmp_path, capsys, monkeypatch, ending):
+    """The caller only merges: it never pins itself, on a clean run, on a
+    bad record in block 0 or 1, or on Ctrl-C while it merges."""
     monkeypatch.setattr(shard, "B", BLOCK)
+    caller = os.getpid()
     pinned = []
     real_set = os.sched_setaffinity
 
     def set_affinity(pid, cpus):
-        pinned.append(set(cpus))
+        if os.getpid() == caller:
+            pinned.append(set(cpus))
         real_set(pid, cpus)
 
     monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
+    bad_record = {"bad-block-0": 3, "bad-block-1": BLOCK + 3}.get(ending)
     path = jsonl_corpus(tmp_path, bad_json=() if bad_record is None else (bad_record,))
-    code, _, err = run(capsys, "mask", "--input", str(path), "--format", "jsonl",
-                       "--strategy", "random", "--output", str(tmp_path / "m.txt"),
-                       "--threads", "2")
-    assert code == (0 if bad_record is None else 1)
-    assert bad_record is None or f":{bad_record + 1}: invalid JSON" in err
-    assert len(pinned) == 2 and pinned[0] < REAL_CPUS and pinned[1] == REAL_CPUS
-    assert os.sched_getaffinity(0) == REAL_CPUS
-    assert_no_children()
+    out = tmp_path / "m.txt"
+    out.write_bytes(b"old\n")
+    argv = ("mask", "--input", str(path), "--format", "jsonl", "--strategy", "random",
+            "--output", str(out), "--threads", "2")
+    if ending == "interrupt":
+        real_receive = shard._receive
+        frames = []
 
+        def receive(reader):
+            frames.append(reader)
+            if len(frames) == 2:  # block 0 is already written to the temp file
+                raise KeyboardInterrupt
+            return real_receive(reader)
 
-@needs_pinning
-def test_caller_gets_its_cpus_back_on_interrupt(tmp_path, capsys, corpus, monkeypatch):
-    """Ctrl-C while the caller, pinned, masks its own block 2."""
-    monkeypatch.setattr(shard, "B", BLOCK)
-    real_seed = cli.record_seed
-
-    def record_seed(seed, i, epoch=0):
-        if i == 2 * BLOCK:
-            raise KeyboardInterrupt
-        return real_seed(seed, i, epoch)
-
-    monkeypatch.setattr(cli, "record_seed", record_seed)
-    with pytest.raises(KeyboardInterrupt):
-        mask(capsys, corpus, "random", tmp_path / "m.txt", 2)
+        monkeypatch.setattr(shard, "_receive", receive)
+        with pytest.raises(KeyboardInterrupt):
+            run(capsys, *argv)
+        assert out.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "m.txt"]
+    else:
+        code, _, err = run(capsys, *argv)
+        assert code == (0 if bad_record is None else 1)
+        assert bad_record is None or f":{bad_record + 1}: invalid JSON" in err
+    assert pinned == []
     assert os.sched_getaffinity(0) == REAL_CPUS
     assert_no_children()
 
@@ -507,10 +509,11 @@ def test_unpinned_output_equals_one_process(tmp_path, capsys, corpus, cpus, fork
                                             workers, pinning):
     one, many = tmp_path / "one.txt", tmp_path / "many.txt"
     assert mask(capsys, corpus, "frequency", one, 1)[0] == 0
-    calls = []
+    log = tmp_path / "pins.log"
     if pinning == "fails":
         def refuse(pid, cpus):
-            calls.append(cpus)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
             raise OSError(22, "Invalid argument")
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
@@ -518,7 +521,9 @@ def test_unpinned_output_equals_one_process(tmp_path, capsys, corpus, cpus, fork
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     code, stdout, _ = mask(capsys, corpus, "frequency", many, workers)
     assert code == 0 and stdout == f"masked {RECORDS} captions -> {many}\n"
-    assert len(forks) == workers - 1
-    assert len(calls) == (1 if pinning == "fails" else 0)  # the caller tried once
+    assert len(forks) == workers
+    tried = log.read_text(encoding="utf-8").split() if log.exists() else []
+    assert len(tried) == len(set(tried)) == (workers if pinning == "fails" else 0)
+    assert str(os.getpid()) not in tried  # each worker tried once, the caller never
     assert one.read_bytes() == many.read_bytes()
     assert_no_children()
