@@ -67,6 +67,17 @@ def prepare_record(
     return tokens, tags
 
 
+def _prepare(record: CaptionRecord, source: str, pretagged: bool = False,
+             lexicon: Mapping[str, str] | None = None,
+             want_tags: bool = False) -> tuple[list[str], list[str] | None]:
+    """``prepare_record`` for a record of corpus ``source``; a ValueError
+    names the record's line, so every process reports it alike."""
+    try:
+        return prepare_record(record.text, pretagged, lexicon, want_tags)
+    except ValueError as exc:
+        raise ValueError(f"{source}:{record.index + 1}: {exc}") from None
+
+
 def _mask(tokens: Sequence[str], tags: Sequence[str] | None, config: MaskingConfig,
           index: int) -> MaskedOutput:
     """Mask record ``index`` of a corpus pass. Its seed depends only on
@@ -81,15 +92,27 @@ def mask_records(
     config: MaskingConfig,
     pretagged: bool = False,
     lexicon: Mapping[str, str] | None = None,
+    source: str = "<stream>",
 ) -> Iterator[tuple[CaptionRecord, MaskedOutput]]:
-    """Mask a record stream in one thread, yielding results in input order."""
+    """Mask a record stream of corpus ``source`` in one thread, in input order."""
     want_tags = config.strategy == "syntax"
     for record in records:
-        tokens, tags = prepare_record(record.text, pretagged, lexicon, want_tags)
+        tokens, tags = _prepare(record, source, pretagged, lexicon, want_tags)
         yield record, _mask(tokens, tags, config, record.index)
 
 
 # --- shared argument plumbing -------------------------------------------------
+
+
+def _at_least_one(value: str) -> int:
+    """An argparse ``type``: an int of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -142,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--output", required=True, help="masked corpus file to write")
     p_mask.add_argument("--output-format", choices=FORMATS, default=None,
                         help="output format (default: same as --format)")
-    p_mask.add_argument("--threads", type=int, default=os.environ.get("TEXTMASK_THREADS", "1"),
+    p_mask.add_argument("--threads", type=_at_least_one,
+                        default=os.environ.get("TEXTMASK_THREADS", "1"),
                         help="worker processes, capped at the CPUs this process may use; "
                              "one unless the input is a regular file; "
                              "output is byte-identical for any value "
@@ -204,9 +228,11 @@ def _load_lexicon_arg(args: argparse.Namespace) -> TagMemo:
 
 def _parse_strategies(parser: argparse.ArgumentParser, value: str) -> list[str]:
     strategies = [s.strip() for s in value.split(",") if s.strip()]
-    for s in strategies:
+    for i, s in enumerate(strategies):
         if s not in STRATEGIES:
             parser.error(f"unknown strategy {s!r}; expected one of {', '.join(STRATEGIES)}")
+        if s in strategies[:i]:
+            parser.error(f"strategy {s!r} is named twice")
     if not strategies:
         parser.error("no strategies given")
     return strategies
@@ -222,7 +248,7 @@ def _config(args: argparse.Namespace, strategy: str,
 def _token_lists(args: argparse.Namespace) -> Iterator[list[str]]:
     """Each record's tokens, untagged."""
     for record in read_corpus(args.input, args.format):
-        yield prepare_record(record.text, args.pretagged)[0]
+        yield _prepare(record, args.input, args.pretagged)[0]
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -249,12 +275,12 @@ def cmd_mask(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
         def pairs_for(owns):
             records = (r for r in read_corpus(args.input, args.format) if owns(r.index))
-            return mask_records(records, config, pretagged=args.pretagged, lexicon=lexicon)
+            return mask_records(records, config, args.pretagged, lexicon, args.input)
 
         count = shard.write_sharded(pairs_for, args.output, output_format, workers)
     else:
         records = read_corpus(args.input, args.format)
-        pairs = mask_records(records, config, pretagged=args.pretagged, lexicon=lexicon)
+        pairs = mask_records(records, config, args.pretagged, lexicon, args.input)
         count = write_masked(pairs, args.output, output_format)
     print(f"masked {count} captions -> {args.output}")
     return 0
@@ -312,7 +338,7 @@ def _analyze_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser):
     words: dict[str, str] = {}
     prepared = []
     for record in read_corpus(args.input, args.format):
-        tokens, tags = prepare_record(record.text, args.pretagged, lexicon, want_tags)
+        tokens, tags = _prepare(record, args.input, args.pretagged, lexicon, want_tags)
         prepared.append((list(map(words.setdefault, tokens, tokens)), tags))
     table = None
     if FREQUENCY_STRATEGIES.intersection(strategies):

@@ -7,7 +7,9 @@ Formats:
             "id" (optional, a string or an integer)
 
 Everything is UTF-8, and a byte-order mark at the start of a file is
-dropped on read; a ``.gz`` suffix gets transparent gzip handling. A
+dropped on read; a ``.gz`` suffix gets transparent gzip handling. Every
+input file, corpus, frequency table or lexicon, is read by ``read_lines``,
+so an undecodable or damaged one fails with an error naming it. A
 ``.gz`` output's header names the output file and carries no time stamp,
 so the same output is the same bytes on every run.
 Lines end at ``\n`` (a trailing ``\r`` is dropped, so CRLF files read the
@@ -42,37 +44,27 @@ class CaptionRecord:
 # so a lone \r stays inside its line.
 
 
-def open_text_read(path: str) -> IO[str]:
-    """``path`` as UTF-8 text, gunzipped for ``.gz``; a leading BOM is dropped.
-
-    A ``.gz`` file that is cut short or corrupt raises ``gzip.BadGzipFile``
-    (an OSError) naming ``path``, where gzip itself raises EOFError or
-    zlib.error.
-    """
+def read_lines(path: str) -> Iterator[str]:
+    """The lines of ``path`` as UTF-8 (gunzipped for ``.gz``), a leading BOM
+    dropped. Undecodable bytes are a ValueError, and a ``.gz`` file cut short
+    or corrupt (gzip raises EOFError or zlib.error) is a ``gzip.BadGzipFile``
+    (an OSError); both name ``path``."""
+    damage: tuple[type[Exception], ...] = ()
     if str(path).endswith(".gz"):
-        return io.TextIOWrapper(_gzip_reader(path), encoding="utf-8-sig", newline="\n")
-    return open(path, encoding="utf-8-sig", newline="\n")
+        import gzip
+        import zlib
 
-
-def _gzip_reader(path: str) -> IO[bytes]:
-    import gzip
-    import zlib
-
-    class Reader(gzip.GzipFile):
-        # TextIOWrapper reads through read1, and through read for read().
-        def read(self, size: int = -1) -> bytes:
-            return self._checked(super().read, size)
-
-        def read1(self, size: int = -1) -> bytes:
-            return self._checked(super().read1, size)
-
-        def _checked(self, read: Callable[[int], bytes], size: int) -> bytes:
-            try:
-                return read(size)
-            except (EOFError, zlib.error) as exc:
-                raise gzip.BadGzipFile(f"{path}: {exc}") from None
-
-    return Reader(path, "rb")
+        damage = (EOFError, zlib.error)
+        fh = io.TextIOWrapper(gzip.GzipFile(path), encoding="utf-8-sig", newline="\n")
+    else:
+        fh = open(path, encoding="utf-8-sig", newline="\n")
+    with fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except damage as exc:
+            raise gzip.BadGzipFile(f"{path}: {exc}") from None
 
 
 def _text_writer(raw: IO[bytes], path: str) -> IO[str]:
@@ -129,35 +121,33 @@ def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
     _check_format(format)
     if format == "jsonl":
         import json
-    with open_text_read(path) as fh:
-        for index, line in enumerate(fh):
-            line = line.rstrip("\r\n")
-            if format == "plain":
-                yield CaptionRecord(index, str(index), line)
-            elif format == "tsv":
-                record_id, sep, text = line.partition("\t")
-                if not sep:
-                    raise ValueError(f"{path}:{index + 1}: expected '<id>\\t<caption>'")
-                yield CaptionRecord(index, record_id, text)
-            else:
-                # A JSONDecodeError, an int past Python's digit limit, or
-                # nesting too deep for the decoder (RecursionError).
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ValueError(f"{path}:{index + 1}: invalid JSON: {exc}") from None
-                if not isinstance(obj, dict) or "caption" not in obj:
-                    raise ValueError(f"{path}:{index + 1}: missing 'caption' field")
-                caption = obj["caption"]
-                if not isinstance(caption, str):
-                    raise ValueError(f"{path}:{index + 1}: 'caption' must be a JSON string, "
-                                     f"got {json.dumps(caption)[:40]}")
-                record_id = obj.get("id", index)
-                if not isinstance(record_id, (str, int)) or isinstance(record_id, bool):
-                    raise ValueError(f"{path}:{index + 1}: 'id' must be a JSON string or "
-                                     f"integer, got {json.dumps(record_id)[:40]}")
-                record_id = str(record_id)
-                yield CaptionRecord(index, record_id, caption)
+    for index, line in enumerate(read_lines(path)):
+        line = line.rstrip("\r\n")
+        if format == "plain":
+            yield CaptionRecord(index, str(index), line)
+        elif format == "tsv":
+            record_id, sep, text = line.partition("\t")
+            if not sep:
+                raise ValueError(f"{path}:{index + 1}: expected '<id>\\t<caption>'")
+            yield CaptionRecord(index, record_id, text)
+        else:
+            # A JSONDecodeError, an int past Python's digit limit, or
+            # nesting too deep for the decoder (RecursionError).
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}:{index + 1}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict) or "caption" not in obj:
+                raise ValueError(f"{path}:{index + 1}: missing 'caption' field")
+            caption = obj["caption"]
+            if not isinstance(caption, str):
+                raise ValueError(f"{path}:{index + 1}: 'caption' must be a JSON string, "
+                                 f"got {json.dumps(caption)[:40]}")
+            record_id = obj.get("id", index)
+            if not isinstance(record_id, (str, int)) or isinstance(record_id, bool):
+                raise ValueError(f"{path}:{index + 1}: 'id' must be a JSON string or "
+                                 f"integer, got {json.dumps(record_id)[:40]}")
+            yield CaptionRecord(index, str(record_id), caption)
 
 
 def line_formatter(format: str) -> Callable[[CaptionRecord, MaskedOutput], str]:

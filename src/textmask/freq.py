@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
-from .corpus_io import open_text_read, open_text_write
+from .corpus_io import open_text_write, read_lines
 
 DEFAULT_THRESHOLD = 1e-6
 
@@ -178,5 +178,4 @@ def parse_frequency_table(lines: Iterator[str], source: str = "<stream>") -> Fre
 
 
 def load_frequency_table(path: str) -> FrequencyTable:
-    with open_text_read(path) as fh:
-        return parse_frequency_table(iter(fh), source=str(path))
+    return parse_frequency_table(read_lines(path), source=str(path))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .corpus_io import open_text_read
+from .corpus_io import read_lines
 from .tokenizer import is_special_token
 
 CATEGORIES = ("NN", "JJ", "VB", "OTHER")
@@ -125,5 +125,4 @@ def load_lexicon(lines: Iterable[str], source: str = "<stream>") -> dict[str, st
 
 
 def load_lexicon_file(path: str) -> dict[str, str]:
-    with open_text_read(path) as fh:
-        return load_lexicon(fh, source=str(path))
+    return load_lexicon(read_lines(path), source=str(path))

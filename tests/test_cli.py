@@ -578,6 +578,74 @@ class TestOutputSafety:
         assert out.read_text(encoding="utf-8") == "old\n"
 
 
+class TestInputLocations:
+    """An input error names the file, and the line where it is known."""
+
+    @pytest.mark.parametrize("command", ["corpus", "corpus-gz", "freq-table", "lexicon"])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, capsys, toy_corpus, command):
+        out = tmp_path / "out"
+        out.write_bytes(b"old\n")
+        table = tmp_path / "t.freq"
+        assert run(capsys, "freq", "--input", toy_corpus, "--output", str(table))[0] == 0
+        data = {"freq-table": table.read_bytes(), "lexicon": b"alpha\tNN\nbeta\tVB\n"}
+        data = data.get(command, b"a dog\n" * 100)
+        data = data[:-3] + b"\xff" + data[-2:]
+        bad = tmp_path / ("bad.gz" if command == "corpus-gz" else "bad")
+        bad.write_bytes(gzip.compress(data) if command == "corpus-gz" else data)
+        mask = ["mask", "--strategy", "frequency", "--output", str(out)]
+        argv = {
+            "corpus": mask + ["--input", str(bad), "--freq-table", str(table)],
+            "corpus-gz": mask + ["--input", str(bad), "--freq-table", str(table)],
+            "freq-table": mask + ["--input", toy_corpus, "--freq-table", str(bad)],
+            "lexicon": mask + ["--input", toy_corpus, "--freq-table", str(table),
+                               "--lexicon", str(bad)],
+        }[command]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert out.read_bytes() == b"old\n"
+
+    @pytest.mark.parametrize("command", [
+        ["mask", "--strategy", "truncation", "--output", "m.txt"],
+        ["freq", "--output", "t.freq"],
+        ["analyze", "stats"],
+        ["analyze", "dist", "--strategies", "truncation"],
+    ], ids=["mask", "freq", "stats", "dist"])
+    def test_malformed_pretagged_caption_names_its_line(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        monkeypatch.chdir(tmp_path)
+        lines = [f"the/DT cat/NN {i}/CD" for i in range(3001)]
+        lines[2500] = "the/DT cat"
+        corpus = write_corpus(tmp_path / "p.txt", lines)
+        code, stdout, err = run(capsys, *command, "--input", corpus, "--pretagged")
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {corpus}:2501: malformed word/TAG pair at index 1: 'cat'\n"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("threads,env", [("0", None), ("-1", None), (None, "0")],
+                             ids=["zero", "negative", "env-zero"])
+    def test_threads_below_one(self, tmp_path, capsys, monkeypatch, toy_corpus, threads, env):
+        if env is not None:
+            monkeypatch.setenv("TEXTMASK_THREADS", env)
+        argv = ["mask", "--input", toy_corpus, "--strategy", "truncation",
+                "--output", str(tmp_path / "m.txt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--threads", threads] if threads else []))
+        assert exc.value.code == 2
+        assert "argument --threads: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("report", ["dist", "pos", "slots"])
+    def test_strategy_named_twice(self, tmp_path, capsys, toy_corpus, report):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", report, "--input", toy_corpus, "--strategies",
+                  "random,truncation, random", "--output", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "strategy 'random' is named twice" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+
 class TestAnalyzeMemory:
     def test_peak_memory_flat_in_number_of_strategies(self, tmp_path, capsys, zipf_corpus):
         corpus = write_corpus(tmp_path / "z.txt", [" ".join(t) for t in zipf_corpus[:3000]])

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from textmask.corpus_io import CaptionRecord, open_text_write, read_corpus, write_masked
+from textmask.corpus_io import (
+    CaptionRecord,
+    open_text_write,
+    read_corpus,
+    read_lines,
+    write_masked,
+)
 from textmask.freq import load_frequency_table
 from textmask.maskers import mask_truncation
 from textmask.postag import load_lexicon_file
@@ -123,6 +129,31 @@ class TestReadCorpus:
         path = tmp_path / "c.txt"
         path.write_text("a\n\nb\n", encoding="utf-8")
         assert [r.text for r in records_of(path, "plain")] == ["a", "", "b"]
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
+    def test_lines_keep_their_ends(self, tmp_path, suffix):
+        path = tmp_path / ("c.txt" + suffix)
+        data = "\ufeffa\r\nb\rc\n\nd".encode("utf-8")
+        path.write_bytes(gzip.compress(data) if suffix else data)
+        assert list(read_lines(str(path))) == ["a\r\n", "b\rc\n", "\n", "d"]
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
+    def test_undecodable_bytes_name_the_path(self, tmp_path, suffix):
+        path = tmp_path / ("c.txt" + suffix)
+        data = b"a dog\n" * 2000 + b"a \xff dog\n"
+        path.write_bytes(gzip.compress(data) if suffix else data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec "
+                                             "can't decode byte 0xff"):
+            records_of(path, "plain")
+
+    @pytest.mark.parametrize("load", [load_frequency_table, load_lexicon_file])
+    def test_undecodable_table_or_lexicon_names_the_path(self, tmp_path, load):
+        path = tmp_path / "t"
+        path.write_bytes(b"#total 1\n\xffdog\t1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            load(str(path))
 
 
 class TestWriteMasked:

@@ -247,7 +247,13 @@ def test_cpu_count_used_without_affinity(tmp_path, capsys, corpus, cpus, forks, 
 
 @pytest.mark.parametrize("threads", [1, 0, -3])
 def test_one_or_fewer_threads_never_forks(tmp_path, capsys, corpus, cpus, forks, threads):
-    assert mask(capsys, corpus, "random", tmp_path / "m.txt", threads)[0] == 0
+    """One thread masks in this process; fewer is a usage error."""
+    if threads < 1:
+        with pytest.raises(SystemExit) as exc:
+            mask(capsys, corpus, "random", tmp_path / "m.txt", threads)
+        assert exc.value.code == 2
+    else:
+        assert mask(capsys, corpus, "random", tmp_path / "m.txt", threads)[0] == 0
     assert forks == []
 
 
@@ -356,7 +362,20 @@ def test_invalid_utf8_in_a_worker_block(tmp_path, capsys, monkeypatch, cpus, wor
     code, stdout, err = ends_like_one_process(tmp_path, capsys, workers, "--input", str(path),
                                               "--strategy", "random")
     assert (code, stdout) == (1, "")
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_malformed_pretagged_caption_in_a_worker_block(tmp_path, capsys, cpus, workers):
+    """Record 10 is in block 1, a forked worker's; the message names its line."""
+    path = tmp_path / "c.txt"
+    lines = [f"caption/NN {i}/CD" for i in range(RECORDS)]
+    lines[10] = "the/DT cat"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code, stdout, err = ends_like_one_process(tmp_path, capsys, workers, "--input", str(path),
+                                              "--pretagged", "--strategy", "random")
+    assert (code, stdout, err) == (
+        1, "", f"error: {path}:11: malformed word/TAG pair at index 1: 'cat'\n")
 
 
 @pytest.mark.parametrize("workers", [2, 3])
