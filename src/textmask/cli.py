@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus_io import FORMATS, CaptionRecord, open_text_write, read_corpus, write_masked
 from .freq import (
@@ -67,17 +67,6 @@ def prepare_record(
     return tokens, tags
 
 
-def _prepare(record: CaptionRecord, source: str, pretagged: bool = False,
-             lexicon: Mapping[str, str] | None = None,
-             want_tags: bool = False) -> tuple[list[str], list[str] | None]:
-    """``prepare_record`` for a record of corpus ``source``; a ValueError
-    names the record's line, so every process reports it alike."""
-    try:
-        return prepare_record(record.text, pretagged, lexicon, want_tags)
-    except ValueError as exc:
-        raise ValueError(f"{source}:{record.index + 1}: {exc}") from None
-
-
 def _mask(tokens: Sequence[str], tags: Sequence[str] | None, config: MaskingConfig,
           index: int) -> MaskedOutput:
     """Mask record ``index`` of a corpus pass. Its seed depends only on
@@ -88,16 +77,11 @@ def _mask(tokens: Sequence[str], tags: Sequence[str] | None, config: MaskingConf
 
 
 def mask_records(
-    records: Iterable[CaptionRecord],
+    prepared: Iterable[tuple[CaptionRecord, list[str], list[str] | None]],
     config: MaskingConfig,
-    pretagged: bool = False,
-    lexicon: Mapping[str, str] | None = None,
-    source: str = "<stream>",
 ) -> Iterator[tuple[CaptionRecord, MaskedOutput]]:
-    """Mask a record stream of corpus ``source`` in one thread, in input order."""
-    want_tags = config.strategy == "syntax"
-    for record in records:
-        tokens, tags = _prepare(record, source, pretagged, lexicon, want_tags)
+    """Mask prepared (record, tokens, tags) triples in one thread, in input order."""
+    for record, tokens, tags in prepared:
         yield record, _mask(tokens, tags, config, record.index)
 
 
@@ -113,6 +97,20 @@ def _at_least_one(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
     return number
+
+
+def _strategy_list(value: str) -> list[str]:
+    """An argparse ``type``: comma-separated strategies, each named once."""
+    strategies = [s.strip() for s in value.split(",") if s.strip()]
+    for i, s in enumerate(strategies):
+        if s not in STRATEGIES:
+            raise argparse.ArgumentTypeError(
+                f"unknown strategy {s!r}; expected one of {', '.join(STRATEGIES)}")
+        if s in strategies[:i]:
+            raise argparse.ArgumentTypeError(f"strategy {s!r} is named twice")
+    if not strategies:
+        raise argparse.ArgumentTypeError("no strategies given")
+    return strategies
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -171,6 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "one unless the input is a regular file; "
                              "output is byte-identical for any value "
                              "(default: $TEXTMASK_THREADS or 1)")
+    # cmd_mask checks --strategy against --freq-table, and reports a
+    # mismatch as this subcommand's usage error.
+    p_mask.set_defaults(usage_error=p_mask.error)
 
     p_demo = sub.add_parser("demo", help="show every strategy on one caption")
     p_demo.add_argument("--caption", required=True, help="caption text")
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = an_sub.add_parser("dist", help="top-N word distribution per strategy")
     _add_input_args(p_dist)
     _add_masking_args(p_dist)
-    p_dist.add_argument("--strategies", default=",".join(STRATEGIES),
+    p_dist.add_argument("--strategies", type=_strategy_list, default=",".join(STRATEGIES),
                         help="comma-separated strategies to compare")
     p_dist.add_argument("--top-n", type=int, default=50)
     p_dist.add_argument("--output", help="CSV file to write")
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos = an_sub.add_parser("pos", help="POS-category shares per strategy")
     _add_input_args(p_pos)
     _add_masking_args(p_pos)
-    p_pos.add_argument("--strategies", default=",".join(STRATEGIES))
+    p_pos.add_argument("--strategies", type=_strategy_list, default=",".join(STRATEGIES))
     p_pos.add_argument("--output", help="CSV file to write")
 
     p_budget = an_sub.add_parser("budget", help="image+text token budget")
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slots = an_sub.add_parser("slots", help="slot utilization per strategy")
     _add_input_args(p_slots)
     _add_masking_args(p_slots)
-    p_slots.add_argument("--strategies", default=",".join(STRATEGIES))
+    p_slots.add_argument("--strategies", type=_strategy_list, default=",".join(STRATEGIES))
     p_slots.add_argument("--output", help="CSV file to write")
 
     return parser
@@ -226,18 +227,6 @@ def _load_lexicon_arg(args: argparse.Namespace) -> TagMemo:
     return TagMemo(DEFAULT_LEXICON)
 
 
-def _parse_strategies(parser: argparse.ArgumentParser, value: str) -> list[str]:
-    strategies = [s.strip() for s in value.split(",") if s.strip()]
-    for i, s in enumerate(strategies):
-        if s not in STRATEGIES:
-            parser.error(f"unknown strategy {s!r}; expected one of {', '.join(STRATEGIES)}")
-        if s in strategies[:i]:
-            parser.error(f"strategy {s!r} is named twice")
-    if not strategies:
-        parser.error("no strategies given")
-    return strategies
-
-
 def _config(args: argparse.Namespace, strategy: str,
             table: FrequencyTable | None) -> MaskingConfig:
     """The command's config for ``strategy``; only frequency strategies get ``table``."""
@@ -245,43 +234,54 @@ def _config(args: argparse.Namespace, strategy: str,
                          freq_table=table if strategy in FREQUENCY_STRATEGIES else None)
 
 
-def _token_lists(args: argparse.Namespace) -> Iterator[list[str]]:
-    """Each record's tokens, untagged."""
+def _prepared(
+    args: argparse.Namespace,
+    lexicon: Mapping[str, str] | None = None,
+    want_tags: bool = False,
+    owns: Callable[[int], bool] | None = None,
+) -> Iterator[tuple[CaptionRecord, list[str], list[str] | None]]:
+    """Read ``--input`` and yield (record, tokens, tags) for each record whose
+    index ``owns`` accepts (every record without it), in input order. A
+    ValueError names the record's line, so every process reports it alike."""
     for record in read_corpus(args.input, args.format):
-        yield _prepare(record, args.input, args.pretagged)[0]
+        if owns is None or owns(record.index):
+            try:
+                tokens, tags = prepare_record(record.text, args.pretagged, lexicon, want_tags)
+            except ValueError as exc:
+                raise ValueError(f"{args.input}:{record.index + 1}: {exc}") from None
+            yield record, tokens, tags
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
 def cmd_freq(args: argparse.Namespace) -> int:
-    table = build_frequency_table(_token_lists(args))
+    table = build_frequency_table(tokens for _, tokens, _ in _prepared(args))
     save_frequency_table(table, args.output)
     print(f"wrote {len(table)} words ({table.total} tokens) to {args.output}")
     return 0
 
 
-def cmd_mask(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_mask(args: argparse.Namespace) -> int:
     if args.strategy in FREQUENCY_STRATEGIES and not args.freq_table:
-        parser.error(f"--freq-table is required for strategy {args.strategy!r}")
+        args.usage_error(f"--freq-table is required for strategy {args.strategy!r}")
     table = load_frequency_table(args.freq_table) if args.freq_table else None
     config = _config(args, args.strategy, table)
     lexicon = _load_lexicon_arg(args)
+    want_tags = args.strategy == "syntax"
+
+    def pairs_for(owns=None):
+        return mask_records(_prepared(args, lexicon, want_tags, owns), config)
+
     output_format = args.output_format or args.format
     workers = _worker_count(args.threads, args.input)
     if workers > 1:
         # Imported only here, so serial runs neither load nor compile it.
         from . import shard
 
-        def pairs_for(owns):
-            records = (r for r in read_corpus(args.input, args.format) if owns(r.index))
-            return mask_records(records, config, args.pretagged, lexicon, args.input)
-
         count = shard.write_sharded(pairs_for, args.output, output_format, workers)
     else:
-        records = read_corpus(args.input, args.format)
-        pairs = mask_records(records, config, args.pretagged, lexicon, args.input)
-        count = write_masked(pairs, args.output, output_format)
+        count = write_masked(pairs_for(), args.output, output_format)
     print(f"masked {count} captions -> {args.output}")
     return 0
 
@@ -328,20 +328,16 @@ def _emit_csv(args: argparse.Namespace, write) -> None:
         print(f"wrote {args.output}")
 
 
-def _analyze_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser):
+def _analyze_corpus(args: argparse.Namespace):
     """Prepare the corpus once; return it and one lazy, one-shot output stream per strategy."""
-    strategies = _parse_strategies(parser, args.strategies)
-    lexicon = _load_lexicon_arg(args)
-    want_tags = "syntax" in strategies or args.report == "pos"
+    want_tags = "syntax" in args.strategies or args.report == "pos"
     # Records share one str per word type, so the corpus held across the
     # strategies costs a reference per token, not a string per token.
     words: dict[str, str] = {}
-    prepared = []
-    for record in read_corpus(args.input, args.format):
-        tokens, tags = _prepare(record, args.input, args.pretagged, lexicon, want_tags)
-        prepared.append((list(map(words.setdefault, tokens, tokens)), tags))
+    prepared = [(list(map(words.setdefault, tokens, tokens)), tags)
+                for _, tokens, tags in _prepared(args, _load_lexicon_arg(args), want_tags)]
     table = None
-    if FREQUENCY_STRATEGIES.intersection(strategies):
+    if FREQUENCY_STRATEGIES.intersection(args.strategies):
         # Without --freq-table, the frequency strategies read this corpus's own counts.
         table = (load_frequency_table(args.freq_table) if args.freq_table
                  else build_frequency_table(tokens for tokens, _ in prepared))
@@ -350,10 +346,11 @@ def _analyze_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser):
         for i, (tokens, tags) in enumerate(prepared):
             yield _mask(tokens, tags, config, i)
 
-    return prepared, {strategy: stream(_config(args, strategy, table)) for strategy in strategies}
+    return prepared, {strategy: stream(_config(args, strategy, table))
+                      for strategy in args.strategies}
 
 
-def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     # Imported here, so the other commands never load the report code.
     from . import analysis
 
@@ -376,7 +373,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         return 0
 
     if args.report == "stats":
-        stats = analysis.corpus_stats(_token_lists(args))
+        stats = analysis.corpus_stats(tokens for _, tokens, _ in _prepared(args))
         print(f"samples      {stats.sample_count}")
         print(f"total words  {stats.total_words}")
         print(f"mean length  {stats.mean_length:.4f}")
@@ -389,7 +386,7 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     validate_threshold(args.t)
     if args.report == "dist":
         analysis.check_top_n(args.top_n)
-    prepared, masked = _analyze_corpus(args, parser)
+    prepared, masked = _analyze_corpus(args)
 
     if args.report == "dist":
         report = analysis.distribution_report([tokens for tokens, _ in prepared], masked,
@@ -424,17 +421,16 @@ def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "freq":
             return cmd_freq(args)
         if args.command == "mask":
-            return cmd_mask(args, parser)
+            return cmd_mask(args)
         if args.command == "demo":
             return cmd_demo(args)
         assert args.command == "analyze"
-        return cmd_analyze(args, parser)
+        return cmd_analyze(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,15 +46,15 @@ class CaptionRecord:
 
 def read_lines(path: str) -> Iterator[str]:
     """The lines of ``path`` as UTF-8 (gunzipped for ``.gz``), a leading BOM
-    dropped. Undecodable bytes are a ValueError, and a ``.gz`` file cut short
-    or corrupt (gzip raises EOFError or zlib.error) is a ``gzip.BadGzipFile``
-    (an OSError); both name ``path``."""
+    dropped. Undecodable bytes are a ValueError, and a ``.gz`` file cut short,
+    corrupt or with a bad trailer (gzip raises EOFError, zlib.error or
+    BadGzipFile) is a ``gzip.BadGzipFile`` (an OSError); both name ``path``."""
     damage: tuple[type[Exception], ...] = ()
     if str(path).endswith(".gz"):
         import gzip
         import zlib
 
-        damage = (EOFError, zlib.error)
+        damage = (EOFError, zlib.error, gzip.BadGzipFile)
         fh = io.TextIOWrapper(gzip.GzipFile(path), encoding="utf-8-sig", newline="\n")
     else:
         fh = open(path, encoding="utf-8-sig", newline="\n")

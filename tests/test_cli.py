@@ -120,7 +120,9 @@ class TestMaskCommand:
             main(["mask", "--input", toy_corpus, "--strategy", "frequency",
                   "--output", str(tmp_path / "m")])
         assert exc.value.code == 2
-        assert "--freq-table" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: textmask mask ")
+        assert "textmask mask: error: --freq-table is required for strategy 'frequency'" in err
 
     def test_empty_freq_table_fails(self, tmp_path, capsys, toy_corpus):
         """A table that counts nothing would leave every word unknown, so
@@ -610,7 +612,9 @@ class TestInputLocations:
         ["freq", "--output", "t.freq"],
         ["analyze", "stats"],
         ["analyze", "dist", "--strategies", "truncation"],
-    ], ids=["mask", "freq", "stats", "dist"])
+        ["analyze", "pos", "--strategies", "truncation"],
+        ["analyze", "slots", "--strategies", "truncation"],
+    ], ids=["mask", "freq", "stats", "dist", "pos", "slots"])
     def test_malformed_pretagged_caption_names_its_line(self, tmp_path, capsys, monkeypatch,
                                                         command):
         monkeypatch.chdir(tmp_path)
@@ -642,7 +646,9 @@ class TestUsageErrors:
             main(["analyze", report, "--input", toy_corpus, "--strategies",
                   "random,truncation, random", "--output", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
-        assert "strategy 'random' is named twice" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: textmask analyze {report} ")
+        assert "argument --strategies: strategy 'random' is named twice" in err
         assert not (tmp_path / "r.csv").exists()
 
 
@@ -671,9 +677,8 @@ class TestAnalyzeMemory:
     ])
     def test_prepared_corpus_holds_one_string_per_word_type(self, tmp_path, lines, extra):
         corpus = write_corpus(tmp_path / "c.txt", lines)
-        parser = build_parser()
-        args = parser.parse_args(["analyze", "pos", "--input", corpus, *extra])
-        prepared, _ = _analyze_corpus(args, parser)
+        args = build_parser().parse_args(["analyze", "pos", "--input", corpus, *extra])
+        prepared, _ = _analyze_corpus(args)
         held = {}
         for tokens, _ in prepared:
             for token in tokens:

@@ -26,6 +26,11 @@ def records_of(path, format):
     return list(read_corpus(str(path), format))
 
 
+def flip_byte(data, i):
+    """``data`` with the bits of byte ``i`` inverted."""
+    return data[:i] + bytes([data[i] ^ 0xFF]) + data[i:][1:]
+
+
 class TestReadCorpus:
     def test_plain(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -113,9 +118,12 @@ class TestReadCorpus:
         (gzip.compress(b"a dog\n" * 100)[:-12], "Compressed file ended before the end-of-stream"),
         # a deflate block of the reserved type 3
         (gzip.compress(b"")[:10] + b"\x07" + bytes(8), "Error -3 while decompressing data"),
-    ], ids=["cut-short", "corrupt"])
+        # the trailer's CRC-32 with its first byte flipped
+        (flip_byte(gzip.compress(b"a dog\n" * 100), -8), "CRC check failed"),
+    ], ids=["cut-short", "corrupt", "bad-crc"])
     def test_bad_gzip_names_path(self, tmp_path, data, reason):
-        """gzip raises EOFError or zlib.error, which are neither ValueError nor OSError."""
+        """gzip raises EOFError or zlib.error, which are neither ValueError nor
+        OSError, or a BadGzipFile that does not name the file."""
         path = tmp_path / "c.txt.gz"
         path.write_bytes(data)
         with pytest.raises(gzip.BadGzipFile, match=f"^{re.escape(str(path))}: {reason}"):

@@ -297,7 +297,7 @@ def test_bad_gzip_trailer_reported_like_one_process(tmp_path, capsys, cpus, work
         assert_no_children()
     assert results[0] == results[1]
     code, stdout, err = results[1]
-    assert code == 1 and stdout == "" and err.startswith("error: CRC check failed")
+    assert code == 1 and stdout == "" and err.startswith(f"error: {path}: CRC check failed")
 
 
 def end_of(capsys, *argv):
