@@ -241,15 +241,15 @@ def _prepared(
     owns: Callable[[int], bool] | None = None,
 ) -> Iterator[tuple[CaptionRecord, list[str], list[str] | None]]:
     """Read ``--input`` and yield (record, tokens, tags) for each record whose
-    index ``owns`` accepts (every record without it), in input order. A
-    ValueError names the record's line, so every process reports it alike."""
-    for record in read_corpus(args.input, args.format):
-        if owns is None or owns(record.index):
-            try:
-                tokens, tags = prepare_record(record.text, args.pretagged, lexicon, want_tags)
-            except ValueError as exc:
-                raise ValueError(f"{args.input}:{record.index + 1}: {exc}") from None
-            yield record, tokens, tags
+    index ``owns`` accepts (every record without it), in input order; the
+    lines of other records are never parsed. A ValueError names the
+    record's line, so every process reports it alike."""
+    for record in read_corpus(args.input, args.format, owns):
+        try:
+            tokens, tags = prepare_record(record.text, args.pretagged, lexicon, want_tags)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}:{record.index + 1}: {exc}") from None
+        yield record, tokens, tags
 
 
 # --- subcommands ---------------------------------------------------------------

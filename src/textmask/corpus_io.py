@@ -9,7 +9,8 @@ Formats:
 Everything is UTF-8, and a byte-order mark at the start of a file is
 dropped on read; a ``.gz`` suffix gets transparent gzip handling. Every
 input file, corpus, frequency table or lexicon, is read by ``read_lines``,
-so an undecodable or damaged one fails with an error naming it. A
+so an undecodable or damaged one fails with an error naming it (and the
+line, for undecodable bytes). A
 ``.gz`` output's header names the output file and carries no time stamp,
 so the same output is the same bytes on every run.
 Lines end at ``\n`` (a trailing ``\r`` is dropped, so CRLF files read the
@@ -21,6 +22,7 @@ captions are still emitted. Output files appear only once complete.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import os
 from dataclasses import dataclass
@@ -46,25 +48,47 @@ class CaptionRecord:
 
 def read_lines(path: str) -> Iterator[str]:
     """The lines of ``path`` as UTF-8 (gunzipped for ``.gz``), a leading BOM
-    dropped. Undecodable bytes are a ValueError, and a ``.gz`` file cut short,
-    corrupt or with a bad trailer (gzip raises EOFError, zlib.error or
-    BadGzipFile) is a ``gzip.BadGzipFile`` (an OSError); both name ``path``."""
+    dropped. Undecodable bytes are a ValueError naming ``path`` and the
+    line, and a ``.gz`` file cut short, corrupt or with a bad trailer (gzip
+    raises EOFError, zlib.error or BadGzipFile) is a ``gzip.BadGzipFile``
+    (an OSError) naming ``path``."""
     damage: tuple[type[Exception], ...] = ()
     if str(path).endswith(".gz"):
         import gzip
         import zlib
 
         damage = (EOFError, zlib.error, gzip.BadGzipFile)
-        fh = io.TextIOWrapper(gzip.GzipFile(path), encoding="utf-8-sig", newline="\n")
+        open_bytes = functools.partial(gzip.GzipFile, path)
     else:
-        fh = open(path, encoding="utf-8-sig", newline="\n")
-    with fh:
+        open_bytes = functools.partial(open, path, "rb")
+    with io.TextIOWrapper(open_bytes(), encoding="utf-8-sig", newline="\n") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise _undecodable(path, open_bytes, damage, exc) from None
         except damage as exc:
             raise gzip.BadGzipFile(f"{path}: {exc}") from None
+
+
+def _undecodable(path: str, open_bytes: Callable[[], IO[bytes]],
+                 damage: tuple[type[Exception], ...], error: UnicodeDecodeError) -> ValueError:
+    """``path:line: <decode error>`` for the first line of ``path`` that is
+    not UTF-8, its position counted from the start of that line; just
+    ``path: <error>`` if a second read finds no such line. Runs only on the
+    error path: the text reader decodes in 8 KiB chunks, and ``error``
+    counts from the start of its chunk."""
+    try:
+        with open_bytes() as raw:
+            # A UTF-8 sequence never holds a \n byte, so line by line it
+            # fails where the whole file does.
+            for number, line in enumerate(raw, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return ValueError(f"{path}:{number}: {exc}")
+    except damage:
+        pass
+    return ValueError(f"{path}: {error}")
 
 
 def _text_writer(raw: IO[bytes], path: str) -> IO[str]:
@@ -116,12 +140,20 @@ def _check_format(format: str) -> None:
         raise ValueError(f"unknown corpus format {format!r}; expected one of {FORMATS}")
 
 
-def read_corpus(path: str, format: str = "plain") -> Iterator[CaptionRecord]:
-    """Yield records in file order with dense 0-based indices."""
+def read_corpus(path: str, format: str = "plain",
+                owns: Callable[[int], bool] | None = None) -> Iterator[CaptionRecord]:
+    """Yield records in file order with dense 0-based indices.
+
+    With ``owns``, only the records whose index it accepts: every line is
+    still decoded, but a line it rejects is never parsed, so a malformed
+    one raises nothing.
+    """
     _check_format(format)
     if format == "jsonl":
         import json
     for index, line in enumerate(read_lines(path)):
+        if owns is not None and not owns(index):
+            continue
         line = line.rstrip("\r\n")
         if format == "plain":
             yield CaptionRecord(index, str(index), line)

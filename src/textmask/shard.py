@@ -3,8 +3,9 @@
 Records are dealt out in blocks of ``B``: record ``i`` belongs to worker
 ``(i // B) % workers``. All ``workers`` workers are forked from the
 calling process, which masks nothing itself: it only merges. Every
-worker reads the whole input itself, masks only the records it owns and
-sends each finished block to the caller as one frame over its own pipe.
+worker decodes the whole input itself, parses and masks only the records
+it owns and sends each finished block to the caller as one frame over
+its own pipe.
 The caller writes blocks 0, 1, 2, ... to the output file, so the output
 is the serial output and no process holds more than about one block of it.
 

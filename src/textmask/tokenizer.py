@@ -7,8 +7,14 @@ kept as its own standalone token ("dog." -> ["dog", "."]).
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from functools import lru_cache
+
+# The ASCII characters of categories P* and S* are exactly
+# string.punctuation: ranges !-/ :-@ [-` {-~. An ASCII chunk splits into
+# maximal runs of them and of everything else in one findall.
+_ASCII_RUNS = re.compile(r"[!-/:-@\[-`{-~]+|[^!-/:-@\[-`{-~]+")
 
 
 @lru_cache(maxsize=4096)
@@ -31,6 +37,9 @@ def tokenize(text: str) -> list[str]:
             # Fast path: letters/digits only, no punctuation to peel off.
             tokens.append(chunk)
             continue
+        if chunk.isascii():
+            tokens += _ASCII_RUNS.findall(chunk)
+            continue
         start = 0
         prev_special = _is_special_char(chunk[0])
         for i in range(1, len(chunk)):
@@ -45,5 +54,7 @@ def tokenize(text: str) -> list[str]:
 
 def is_special_token(token: str) -> bool:
     """True if ``token`` consists entirely of punctuation/symbol characters."""
+    if token.isalnum():
+        # No letter or digit is in a P* or S* category.
+        return False
     return bool(token) and all(_is_special_char(ch) for ch in token)
-

@@ -604,7 +604,9 @@ class TestInputLocations:
         }[command]
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (1, "")
-        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        line = data.count(b"\n", 0, data.index(b"\xff")) + 1
+        assert err.startswith(f"error: {bad}:{line}: 'utf-8' codec can't decode byte 0xff "
+                              "in position ")
         assert out.read_bytes() == b"old\n"
 
     @pytest.mark.parametrize("command", [

@@ -9,8 +9,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from textmask.corpus_io import (
+    FORMATS,
     CaptionRecord,
     open_text_write,
     read_corpus,
@@ -139,6 +142,49 @@ class TestReadCorpus:
         assert [r.text for r in records_of(path, "plain")] == ["a", "", "b"]
 
 
+class TestReadCorpusOwns:
+    LINES = {
+        "plain": ["a dog", "", "the cat", "x\ty", "a bird"],
+        "tsv": ["k0\ta dog", "k1\t", "k2\tthe cat", "k3\tx", "k4\ta bird"],
+        "jsonl": ['{"id": "k0", "caption": "a dog"}', '{"caption": ""}', '{"id": 9, '
+                  '"caption": "the cat"}', '{"id": "k3", "caption": "x"}', '{"caption": "bird"}'],
+    }
+
+    @pytest.mark.parametrize("format", FORMATS)
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
+    def test_only_owned_records_with_their_index_and_id(self, tmp_path, format, suffix):
+        path = tmp_path / ("c" + suffix)
+        data = "".join(line + "\n" for line in self.LINES[format]).encode("utf-8")
+        path.write_bytes(gzip.compress(data) if suffix else data)
+        every = list(read_corpus(str(path), format))
+        for owns in (lambda i: i % 2 == 1, lambda i: i in (0, 4), lambda i: False):
+            assert list(read_corpus(str(path), format, owns)) == [
+                r for r in every if owns(r.index)]
+        assert list(read_corpus(str(path), format, lambda i: True)) == every
+
+    @pytest.mark.parametrize("format,bad", [
+        ("jsonl", "{not json"), ("jsonl", '{"id": "k"}'), ("jsonl", '{"caption": 3}'),
+        ("jsonl", '{"id": null, "caption": "a"}'), ("jsonl", "[" * 100_000),
+        ("tsv", "no tab here"),
+    ], ids=["bad-json", "no-caption", "caption-type", "id-type", "too-deep", "tsv-no-tab"])
+    def test_malformed_line_outside_owns_raises_nothing(self, tmp_path, format, bad):
+        path = tmp_path / "c"
+        lines = self.LINES[format][:]
+        lines[2] = bad
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        kept = list(read_corpus(str(path), format, lambda i: i != 2))
+        assert [r.index for r in kept] == [0, 1, 3, 4]
+        with pytest.raises(ValueError, match=r"^.*c:3: "):
+            list(read_corpus(str(path), format, lambda i: i == 2))
+
+    def test_undecodable_line_outside_owns_still_raises(self, tmp_path):
+        """Every line is decoded, owned or not."""
+        path = tmp_path / "c"
+        path.write_bytes(b"a dog\n\xff\nthe cat\n")
+        with pytest.raises(ValueError, match=r"c:2: 'utf-8' codec"):
+            list(read_corpus(str(path), "plain", lambda i: i == 0))
+
+
 class TestReadLines:
     @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
     def test_lines_keep_their_ends(self, tmp_path, suffix):
@@ -149,19 +195,58 @@ class TestReadLines:
 
     @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
     def test_undecodable_bytes_name_the_path(self, tmp_path, suffix):
+        """The bad byte is 12 KB in, past the first 8 KiB decode chunk; the
+        position counts from the start of its line."""
         path = tmp_path / ("c.txt" + suffix)
-        data = b"a dog\n" * 2000 + b"a \xff dog\n"
+        data = b"a dog\n" * 2000 + b"a \xff dog\n" + b"a cat\n" * 10
         path.write_bytes(gzip.compress(data) if suffix else data)
+        with pytest.raises(ValueError) as exc:
+            records_of(path, "plain")
+        assert str(exc.value) == (f"{path}:2001: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 2: invalid start byte")
+
+    def test_undecodable_gz_cut_short_inside_the_bad_line_names_the_path(self, tmp_path):
+        """The second read, which looks for the line, meets the cut before
+        the bad line ends; the error still names the file."""
+        data = b"".join(b"%05d " % i for i in range(8000))
+        data = data[:8100] + b"\xff" + data[8101:] + b"\n"
+        path = tmp_path / "c.txt.gz"
+        path.write_bytes(gzip.compress(data)[:-100])
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec "
                                              "can't decode byte 0xff"):
-            records_of(path, "plain")
+            list(read_lines(str(path)))
 
     @pytest.mark.parametrize("load", [load_frequency_table, load_lexicon_file])
     def test_undecodable_table_or_lexicon_names_the_path(self, tmp_path, load):
         path = tmp_path / "t"
         path.write_bytes(b"#total 1\n\xffdog\t1\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: 'utf-8' codec "
+                                             "can't decode byte 0xff in position 0"):
             load(str(path))
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.lists(st.sampled_from([b"a", b"\n", b"\xc3\xa9", b"\xc3", b"\xa9",
+                                          b"\xff", b"\xef\xbb\xbf", b"\xe2\x80", b"x" * 3000]),
+                         max_size=12).map(b"".join))
+    def test_undecodable_line_matches_whole_file_decode(self, tmp_path, suffix, data):
+        """Oracle: decoding the whole file at once fails at the same byte,
+        for the same reason, as the line and in-line position reported."""
+        path = tmp_path / ("c.txt" + suffix)
+        path.write_bytes(gzip.compress(data) if suffix else data)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start = data.rfind(b"\n", 0, exc.start) + 1
+            in_line = UnicodeDecodeError("utf-8", data[start:], exc.start - start,
+                                         exc.end - start, exc.reason)
+            line = data.count(b"\n", 0, start) + 1
+            with pytest.raises(ValueError) as error:
+                list(read_lines(str(path)))
+            assert str(error.value) == f"{path}:{line}: {in_line}"
+        else:
+            assert "".join(read_lines(str(path))) == text.removeprefix("\ufeff")
 
 
 class TestWriteMasked:

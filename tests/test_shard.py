@@ -151,7 +151,9 @@ def jsonl_corpus(tmp_path, bad_json=(), tsv_unsafe=()):
 # Record 10 is in block 1 (worker 1's for N = 2 and 3), 16 in block 2
 # (worker 0's for N = 2, worker 2's for N = 3). A worker that
 # read past the end of its block would meet a later bad line early and
-# report it in place of an earlier bad record.
+# report it in place of an earlier bad record. Record 22 is in block 3
+# and 30 in block 4 (worker 1's and 0's for N = 2): worker 0 skips line
+# 23 unparsed and fails only at record 30, a block after the first error.
 @pytest.mark.parametrize("bad_json,tsv_unsafe,message", [
     ((10,), (), ":11: invalid JSON"),
     ((), (10,), "error: record 10: id 'x\\ty10'"),
@@ -161,8 +163,10 @@ def jsonl_corpus(tmp_path, bad_json=(), tsv_unsafe=()):
     ((10,), (16,), ":11: invalid JSON"),
     ((12,), (9,), "error: record 9: id"),
     ((18,), (16,), "error: record 16: id"),
+    ((22,), (30,), ":23: invalid JSON"),
 ], ids=["json-block1", "tsv-block1", "json-block2", "tsv-block2",
-        "tsv-before-json", "json-before-tsv", "both-in-block1", "both-in-block2"])
+        "tsv-before-json", "json-before-tsv", "both-in-block1", "both-in-block2",
+        "json-block3-before-tsv-block4"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_first_error_in_input_order(tmp_path, capsys, cpus, workers, bad_json, tsv_unsafe,
                                     message):
@@ -350,19 +354,23 @@ def test_any_exception_ends_like_one_process(tmp_path, capsys, cpus, monkeypatch
                                  ) == (KeyError, (f"no seed for record {index}",))
 
 
+@pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
 @pytest.mark.parametrize("workers", [2, 3])
-def test_invalid_utf8_in_a_worker_block(tmp_path, capsys, monkeypatch, cpus, workers):
-    """The input is decoded in chunks of 8 KiB, so the error comes at the
-    record where the bad chunk starts: 128, in a forked worker's block 1."""
+def test_invalid_utf8_in_a_worker_block(tmp_path, capsys, monkeypatch, cpus, workers, suffix):
+    """The input is decoded in chunks of about 8 KiB, so decoding fails
+    where the bad chunk starts (record 128 of the plain file), in a forked
+    worker's block 1; the message names the bad byte's own line, 151, in
+    every process."""
     monkeypatch.setattr(shard, "B", 100)
-    path = tmp_path / "c.txt"
+    path = tmp_path / ("c.txt" + suffix)
     lines = [f"caption {i:04d} ".ljust(63, "x").encode("ascii") + b"\n" for i in range(400)]
     lines[150] = b"\xff" + lines[150][1:]
-    path.write_bytes(b"".join(lines))
+    data = b"".join(lines)
+    path.write_bytes(gzip.compress(data) if suffix else data)
     code, stdout, err = ends_like_one_process(tmp_path, capsys, workers, "--input", str(path),
                                               "--strategy", "random")
-    assert (code, stdout) == (1, "")
-    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert (code, stdout, err) == (1, "", f"error: {path}:151: 'utf-8' codec can't decode "
+                                          "byte 0xff in position 0: invalid start byte\n")
 
 
 @pytest.mark.parametrize("workers", [2, 3])
