@@ -13,11 +13,6 @@ than the CPUs this process may use) while this process only writes their
 blocks in input order, and writes byte-identical output for any N. Where
 ``os.fork`` is missing or the input is not a regular file, this process
 masks alone.
-
-Defaults for k, threshold, seed and threads can be overridden with the
-TEXTMASK_K, TEXTMASK_T, TEXTMASK_SEED and TEXTMASK_THREADS environment
-variables. argparse converts them like command-line values, so a bad value
-is a usage error (exit code 2), and an explicit flag wins over the variable.
 """
 
 from __future__ import annotations
@@ -124,15 +119,14 @@ def _add_pretagged_arg(p: argparse._ActionsContainer) -> None:
 
 
 def _add_masking_args(p: argparse.ArgumentParser, freq_table_required: bool = False) -> None:
-    p.add_argument("--k", type=int, default=os.environ.get("TEXTMASK_K", "8"),
-                   help="number of tokens to keep per caption (default: $TEXTMASK_K or 8)")
-    p.add_argument("--t", type=float,
-                   default=os.environ.get("TEXTMASK_T", str(DEFAULT_THRESHOLD)),
+    p.add_argument("--k", type=int, default=MaskingConfig.k,
+                   help="number of tokens to keep per caption (default: %(default)s)")
+    p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD,
                    help="relative-frequency threshold for frequency/swclip "
-                        f"(default: $TEXTMASK_T or {DEFAULT_THRESHOLD})")
-    p.add_argument("--seed", type=int, default=os.environ.get("TEXTMASK_SEED", "0"),
-                   help="run seed (default: $TEXTMASK_SEED or 0)")
-    p.add_argument("--epoch", type=int, default=0,
+                        "(default: %(default)s)")
+    p.add_argument("--seed", type=int, default=MaskingConfig.seed,
+                   help="run seed (default: %(default)s)")
+    p.add_argument("--epoch", type=int, default=MaskingConfig.epoch,
                    help="epoch number mixed into per-record seeds")
     p.add_argument("--freq-table", metavar="PATH", required=freq_table_required,
                    help="frequency-table file for frequency/swclip")
@@ -163,12 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mask.add_argument("--output", required=True, help="masked corpus file to write")
     p_mask.add_argument("--output-format", choices=FORMATS, default=None,
                         help="output format (default: same as --format)")
-    p_mask.add_argument("--threads", type=_at_least_one,
-                        default=os.environ.get("TEXTMASK_THREADS", "1"),
+    p_mask.add_argument("--threads", type=_at_least_one, default=1,
                         help="worker processes, capped at the CPUs this process may use; "
                              "one unless the input is a regular file; "
-                             "output is byte-identical for any value "
-                             "(default: $TEXTMASK_THREADS or 1)")
+                             "output is byte-identical for any value (default: %(default)s)")
     # cmd_mask checks --strategy against --freq-table, and reports a
     # mismatch as this subcommand's usage error.
     p_mask.set_defaults(usage_error=p_mask.error)
@@ -180,19 +172,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="emit a diagnostic report")
     an_sub = p_an.add_subparsers(dest="report", required=True)
 
-    p_dist = an_sub.add_parser("dist", help="top-N word distribution per strategy")
-    _add_input_args(p_dist)
-    _add_masking_args(p_dist)
-    p_dist.add_argument("--strategies", type=_strategy_list, default=",".join(STRATEGIES),
-                        help="comma-separated strategies to compare")
-    p_dist.add_argument("--top-n", type=int, default=50)
-    p_dist.add_argument("--output", help="CSV file to write")
-
-    p_pos = an_sub.add_parser("pos", help="POS-category shares per strategy")
-    _add_input_args(p_pos)
-    _add_masking_args(p_pos)
-    p_pos.add_argument("--strategies", type=_strategy_list, default=",".join(STRATEGIES))
-    p_pos.add_argument("--output", help="CSV file to write")
+    for report, help_text in [("dist", "top-N word distribution per strategy"),
+                              ("pos", "POS-category shares per strategy"),
+                              ("slots", "slot utilization per strategy")]:
+        p_report = an_sub.add_parser(report, help=help_text)
+        _add_input_args(p_report)
+        _add_masking_args(p_report)
+        p_report.add_argument("--strategies", type=_strategy_list,
+                              default=",".join(STRATEGIES),
+                              help="comma-separated strategies to compare")
+        if report == "dist":
+            p_report.add_argument("--top-n", type=int, default=50,
+                                  help="words to rank by original count (default: %(default)s)")
+        p_report.add_argument("--output", help="CSV file to write")
 
     p_budget = an_sub.add_parser("budget", help="image+text token budget")
     p_budget.add_argument("--image-mask-ratio", type=float, default=None,
@@ -202,20 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="single-row mode: kept text tokens (default 8)")
     # Their defaults, analysis.BASELINE_*, are applied in cmd_analyze, so
     # building the parser does not import the report code.
-    p_budget.add_argument("--image-patches", type=int)
-    p_budget.add_argument("--text-context", type=int)
+    p_budget.add_argument("--image-patches", type=int,
+                          help="image patches per sample, unmasked (default: 196)")
+    p_budget.add_argument("--text-context", type=int,
+                          help="text tokens per sample, unmasked (default: 32)")
     p_budget.add_argument("--output", help="CSV file to write")
 
     p_stats = an_sub.add_parser("stats", help="caption-length statistics")
     _add_input_args(p_stats)
     _add_pretagged_arg(p_stats)
     p_stats.add_argument("--output", help="CSV file to write")
-
-    p_slots = an_sub.add_parser("slots", help="slot utilization per strategy")
-    _add_input_args(p_slots)
-    _add_masking_args(p_slots)
-    p_slots.add_argument("--strategies", type=_strategy_list, default=",".join(STRATEGIES))
-    p_slots.add_argument("--output", help="CSV file to write")
 
     return parser
 

@@ -1,14 +1,21 @@
 import gzip
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
 
 import pytest
 
+from textmask import analysis
 from textmask.cli import _analyze_corpus, build_parser, main
-from textmask.maskers import STRATEGIES
+from textmask.freq import DEFAULT_THRESHOLD
+from textmask.maskers import STRATEGIES, MaskingConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CAPTION = (
     "Walk of the happy young couple and Siberian dog. "
@@ -376,40 +383,6 @@ class TestErrorHandling:
             main(["analyze", "dist", "--input", toy_corpus, "--strategies", "bogus"])
         assert exc.value.code == 2
 
-    def test_env_default_for_k(self, tmp_path, capsys, monkeypatch, toy_corpus):
-        monkeypatch.setenv("TEXTMASK_K", "2")
-        out_path = str(tmp_path / "m.txt")
-        run(capsys, "mask", "--input", toy_corpus, "--strategy", "truncation",
-            "--output", out_path)
-        with open(out_path, encoding="utf-8") as fh:
-            first = fh.readline().strip()
-        assert len(first.split()) == 2
-
-    @pytest.mark.parametrize("name,value", [
-        ("TEXTMASK_K", "abc"), ("TEXTMASK_T", "tiny"),
-        ("TEXTMASK_SEED", "1.5"), ("TEXTMASK_THREADS", "many"),
-    ])
-    def test_bad_env_value_is_usage_error(self, tmp_path, capsys, monkeypatch, toy_corpus,
-                                          name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(SystemExit) as exc:
-            main(["mask", "--input", toy_corpus, "--strategy", "truncation",
-                  "--output", str(tmp_path / "m.txt")])
-        assert exc.value.code == 2
-        assert f"invalid {'float' if name == 'TEXTMASK_T' else 'int'} value: '{value}'" \
-            in capsys.readouterr().err
-
-    def test_explicit_flag_overrides_bad_env_value(self, tmp_path, capsys, monkeypatch,
-                                                   toy_corpus):
-        monkeypatch.setenv("TEXTMASK_K", "abc")
-        out_path = str(tmp_path / "m.txt")
-        code, _, _ = run(capsys, "mask", "--input", toy_corpus, "--strategy", "truncation",
-                         "--k", "3", "--output", out_path)
-        assert code == 0
-        with open(out_path, encoding="utf-8") as fh:
-            first = fh.readline().strip()
-        assert len(first.split()) == 3
-
 
 class TestPretaggedExcludesLexicon:
     """Pre-tagged captions skip the tagger, so a lexicon given with them
@@ -629,15 +602,11 @@ class TestInputLocations:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("threads,env", [("0", None), ("-1", None), (None, "0")],
-                             ids=["zero", "negative", "env-zero"])
-    def test_threads_below_one(self, tmp_path, capsys, monkeypatch, toy_corpus, threads, env):
-        if env is not None:
-            monkeypatch.setenv("TEXTMASK_THREADS", env)
-        argv = ["mask", "--input", toy_corpus, "--strategy", "truncation",
-                "--output", str(tmp_path / "m.txt")]
+    @pytest.mark.parametrize("threads", ["0", "-1"], ids=["zero", "negative"])
+    def test_threads_below_one(self, tmp_path, capsys, toy_corpus, threads):
         with pytest.raises(SystemExit) as exc:
-            main(argv + (["--threads", threads] if threads else []))
+            main(["mask", "--input", toy_corpus, "--strategy", "truncation",
+                  "--output", str(tmp_path / "m.txt"), "--threads", threads])
         assert exc.value.code == 2
         assert "argument --threads: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
@@ -652,6 +621,98 @@ class TestUsageErrors:
         assert err.startswith(f"usage: textmask analyze {report} ")
         assert "argument --strategies: strategy 'random' is named twice" in err
         assert not (tmp_path / "r.csv").exists()
+
+
+class TestEnvironmentIgnored:
+    """A run is a function of its arguments and input: the TEXTMASK_*
+    variables that once replaced the --k, --t, --seed and --threads
+    defaults, bad values included, change nothing."""
+
+    ENV = {"TEXTMASK_K": "abc", "TEXTMASK_T": "tiny", "TEXTMASK_SEED": "7",
+           "TEXTMASK_THREADS": "0"}
+
+    def outputs(self, capsys, monkeypatch, workdir, corpus, table):
+        """(exit code, stdout, stderr) of each command and the bytes it wrote,
+        run in ``workdir`` with relative output paths, so stdout is comparable."""
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        results = []
+        for threads in ("1", "2"):
+            out = f"m{threads}.txt"
+            results.append(run(capsys, "mask", "--input", corpus, "--strategy", "frequency",
+                               "--freq-table", table, "--threads", threads, "--output", out))
+            results.append(Path(out).read_bytes())
+        results.append(run(capsys, "demo", "--caption", CAPTION, "--freq-table", table))
+        results.append(run(capsys, "analyze", "slots", "--input", corpus,
+                           "--output", "slots.csv"))
+        results.append(Path("slots.csv").read_bytes())
+        return results
+
+    def test_outputs_equal_a_clean_environment(self, tmp_path, capsys, monkeypatch, toy_corpus):
+        for name in [name for name in os.environ if name.startswith("TEXTMASK_")]:
+            monkeypatch.delenv(name)
+        table = str(tmp_path / "t.freq")
+        assert run(capsys, "freq", "--input", toy_corpus, "--output", table)[0] == 0
+        clean = self.outputs(capsys, monkeypatch, tmp_path / "clean", toy_corpus, table)
+        for name, value in self.ENV.items():
+            monkeypatch.setenv(name, value)
+        with_env = self.outputs(capsys, monkeypatch, tmp_path / "env", toy_corpus, table)
+        assert [r[0] for r in with_env if isinstance(r, tuple)] == [0, 0, 0, 0]
+        assert with_env == clean
+
+
+class TestHelp:
+    def help_text(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("report", ["dist", "pos", "slots"])
+    def test_every_comparison_report_explains_strategies(self, capsys, report):
+        assert "comma-separated strategies to compare" in self.help_text(
+            capsys, "analyze", report)
+
+    def test_help_states_the_library_defaults(self, capsys):
+        # argparse wraps help lines, so compare with whitespace collapsed.
+        budget = " ".join(self.help_text(capsys, "analyze", "budget").split())
+        assert f"unmasked (default: {analysis.BASELINE_IMAGE_PATCHES})" in budget
+        assert f"text tokens per sample, unmasked (default: {analysis.BASELINE_TEXT_CONTEXT})" \
+            in budget
+        dist = " ".join(self.help_text(capsys, "analyze", "dist").split())
+        assert "original count (default: 50)" in dist
+        assert f"per caption (default: {MaskingConfig.k})" in dist
+        assert f"(default: {DEFAULT_THRESHOLD})" in dist
+        assert f"run seed (default: {MaskingConfig.seed})" in dist
+
+
+class TestModuleEntrypoint:
+    """``python -m textmask``, the way the benchmark launches every command."""
+
+    def textmask(self, cwd, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "textmask", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+
+    def test_success_exits_zero(self, tmp_path):
+        result = self.textmask(tmp_path, "analyze", "budget")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[0].split() == ["image", "text", "total", "pct"]
+
+    def test_missing_input_file_exits_one(self, tmp_path):
+        result = self.textmask(tmp_path, "freq", "--input", "nope.txt", "--output", "t.freq")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert "nope.txt" in result.stderr
+
+    def test_usage_error_exits_two(self, tmp_path, toy_corpus):
+        result = self.textmask(tmp_path, "mask", "--input", toy_corpus, "--strategy",
+                               "truncation", "--output", "m.txt", "--threads", "0")
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: textmask mask ")
+        assert "argument --threads: must be at least 1" in result.stderr
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestAnalyzeMemory:
