@@ -9,10 +9,11 @@ Formats:
 Everything is UTF-8, and a byte-order mark at the start of a file is
 dropped on read; a ``.gz`` suffix gets transparent gzip handling. Every
 input file, corpus, frequency table or lexicon, is read by ``read_lines``,
-so an undecodable or damaged one fails with an error naming it (and the
-line, for undecodable bytes). A
-``.gz`` output's header names the output file and carries no time stamp,
-so the same output is the same bytes on every run.
+one line at a time, so an undecodable or damaged one fails with an error
+naming it (and the line, for undecodable bytes), and the first bad line in
+file order is the one reported, whatever is wrong with it. A ``.gz``
+output's header names the output file and carries no time stamp, so the
+same output is the same bytes on every run.
 Lines end at ``\n`` (a trailing ``\r`` is dropped, so CRLF files read the
 same); a lone ``\r`` stays inside its line. Output order always matches
 input order, so image/text pairings are never disturbed; empty masked
@@ -22,7 +23,6 @@ captions are still emitted. Output files appear only once complete.
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import os
 from dataclasses import dataclass
@@ -42,53 +42,40 @@ class CaptionRecord:
 
 
 # gzip and json are imported only by the code that needs them, so a plain
-# corpus never loads them. newline="\n" everywhere: lines end at \n only,
-# so a lone \r stays inside its line.
+# corpus never loads them. Lines are split on the raw bytes and each is
+# decoded on its own: lines end at \n only, so a lone \r stays inside its
+# line, and a UTF-8 sequence never holds a \n byte, so a line fails to
+# decode exactly where the whole file would.
 
 
 def read_lines(path: str) -> Iterator[str]:
-    """The lines of ``path`` as UTF-8 (gunzipped for ``.gz``), a leading BOM
-    dropped. Undecodable bytes are a ValueError naming ``path`` and the
+    """The lines of ``path`` as UTF-8 (gunzipped for ``.gz``), a BOM at the
+    start of line 1 dropped. Undecodable bytes are a ValueError naming
+    ``path`` and the line, the position counted from the start of that
     line, and a ``.gz`` file cut short, corrupt or with a bad trailer (gzip
     raises EOFError, zlib.error or BadGzipFile) is a ``gzip.BadGzipFile``
-    (an OSError) naming ``path``."""
+    (an OSError) naming ``path``. Each error is raised when the line it is
+    in is reached, so the first bad line of a file fails first."""
     damage: tuple[type[Exception], ...] = ()
     if str(path).endswith(".gz"):
         import gzip
         import zlib
 
         damage = (EOFError, zlib.error, gzip.BadGzipFile)
-        open_bytes = functools.partial(gzip.GzipFile, path)
+        # GzipFile's own readline is Python code; a BufferedReader's is not.
+        raw: IO[bytes] = io.BufferedReader(gzip.GzipFile(path))
     else:
-        open_bytes = functools.partial(open, path, "rb")
-    with io.TextIOWrapper(open_bytes(), encoding="utf-8-sig", newline="\n") as fh:
+        raw = open(path, "rb")
+    with raw:
         try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, open_bytes, damage, exc) from None
-        except damage as exc:
-            raise gzip.BadGzipFile(f"{path}: {exc}") from None
-
-
-def _undecodable(path: str, open_bytes: Callable[[], IO[bytes]],
-                 damage: tuple[type[Exception], ...], error: UnicodeDecodeError) -> ValueError:
-    """``path:line: <decode error>`` for the first line of ``path`` that is
-    not UTF-8, its position counted from the start of that line; just
-    ``path: <error>`` if a second read finds no such line. Runs only on the
-    error path: the text reader decodes in 8 KiB chunks, and ``error``
-    counts from the start of its chunk."""
-    try:
-        with open_bytes() as raw:
-            # A UTF-8 sequence never holds a \n byte, so line by line it
-            # fails where the whole file does.
             for number, line in enumerate(raw, 1):
                 try:
-                    line.decode("utf-8")
+                    text = line.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    return ValueError(f"{path}:{number}: {exc}")
-    except damage:
-        pass
-    return ValueError(f"{path}: {error}")
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+                yield text if number > 1 else text.removeprefix("\ufeff")
+        except damage as exc:
+            raise gzip.BadGzipFile(f"{path}: {exc}") from None
 
 
 def _text_writer(raw: IO[bytes], path: str) -> IO[str]:
@@ -179,6 +166,15 @@ def read_corpus(path: str, format: str = "plain",
             if not isinstance(record_id, (str, int)) or isinstance(record_id, bool):
                 raise ValueError(f"{path}:{index + 1}: 'id' must be a JSON string or "
                                  f"integer, got {json.dumps(record_id)[:40]}")
+            if "\\" in line:
+                # A decoded line holds no lone surrogate, but a \u escape can
+                # make one, and no UTF-8 output can hold it.
+                for field, value in (("caption", caption), ("id", str(record_id))):
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise ValueError(f"{path}:{index + 1}: {field!r} holds a lone "
+                                         f"surrogate: {exc}") from None
             yield CaptionRecord(index, str(record_id), caption)
 
 

@@ -600,6 +600,27 @@ class TestInputLocations:
         assert (code, stdout) == (1, "")
         assert err == f"error: {corpus}:2501: malformed word/TAG pair at index 1: 'cat'\n"
 
+    @pytest.mark.parametrize("command", [
+        ["mask", "--strategy", "truncation", "--output", "m.jsonl"],
+        ["freq", "--output", "t.freq"],
+        ["analyze", "dist", "--strategies", "truncation", "--output", "r.csv"],
+        ["analyze", "pos", "--strategies", "truncation", "--output", "r.csv"],
+        ["analyze", "slots", "--strategies", "truncation", "--output", "r.csv"],
+    ], ids=["mask", "freq", "dist", "pos", "slots"])
+    def test_lone_surrogate_fails_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        """No UTF-8 output can hold a lone surrogate, so it is refused on
+        read, before anything is printed or written."""
+        monkeypatch.chdir(tmp_path)
+        lines = [json.dumps({"id": i, "caption": f"a dog number {i}"}) for i in range(600)]
+        lines[300] = '{"id": 300, "caption": "a dog \\udfff"}'
+        corpus = write_corpus(tmp_path / "c.jsonl", lines)
+        code, stdout, err = run(capsys, *command, "--input", corpus, "--format", "jsonl")
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {corpus}:301: 'caption' holds a lone surrogate: 'utf-8' codec "
+                       "can't encode character '\\udfff' in position 6: surrogates not allowed\n")
+        assert os.listdir(tmp_path) == ["c.jsonl"]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("threads", ["0", "-1"], ids=["zero", "negative"])

@@ -105,6 +105,25 @@ class TestReadCorpus:
         with pytest.raises(ValueError, match=r"c\.jsonl:2: invalid JSON: Exceeds the limit"):
             records_of(path, "jsonl")
 
+    @pytest.mark.parametrize("escaped,text", [
+        ("a \\ud83d\\ude00 dog", "a \U0001f600 dog"), ("a\\\\ud800", "a\\ud800"),
+        ("a\\ndog", "a\ndog"),
+    ], ids=["surrogate-pair", "escaped-backslash", "newline"])
+    def test_jsonl_escapes_that_make_no_lone_surrogate_are_kept(self, tmp_path, escaped, text):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "%s", "caption": "%s"}\n' % (escaped, escaped), encoding="utf-8")
+        assert records_of(path, "jsonl") == [CaptionRecord(0, text, text)]
+
+    @pytest.mark.parametrize("field,record_id,caption", [
+        ("caption", "k", "\\udfff\\ud800"), ("id", "x\\ud83d", "a")], ids=["caption", "id"])
+    def test_jsonl_lone_surrogate_names_line(self, tmp_path, field, record_id, caption):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"caption": "ok"}\n{"id": "%s", "caption": "%s"}\n'
+                        % (record_id, caption), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"c\.jsonl:2: '{field}' holds a lone surrogate: "
+                                             "'utf-8' codec can't encode character"):
+            records_of(path, "jsonl")
+
     def test_tsv_missing_tab_names_line(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("id1\tok\nbroken\n", encoding="utf-8")
@@ -195,8 +214,8 @@ class TestReadLines:
 
     @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
     def test_undecodable_bytes_name_the_path(self, tmp_path, suffix):
-        """The bad byte is 12 KB in, past the first 8 KiB decode chunk; the
-        position counts from the start of its line."""
+        """The bad byte is 12 KB in, on line 2001; the position counts from
+        the start of its line."""
         path = tmp_path / ("c.txt" + suffix)
         data = b"a dog\n" * 2000 + b"a \xff dog\n" + b"a cat\n" * 10
         path.write_bytes(gzip.compress(data) if suffix else data)
@@ -206,20 +225,23 @@ class TestReadLines:
                                   "in position 2: invalid start byte")
 
     def test_undecodable_gz_cut_short_inside_the_bad_line_names_the_path(self, tmp_path):
-        """The second read, which looks for the line, meets the cut before
-        the bad line ends; the error still names the file."""
+        """The cut comes before the bad line ends, so that line is never
+        complete: the gzip damage is the first error, and it names the file."""
         data = b"".join(b"%05d " % i for i in range(8000))
         data = data[:8100] + b"\xff" + data[8101:] + b"\n"
         path = tmp_path / "c.txt.gz"
         path.write_bytes(gzip.compress(data)[:-100])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec "
-                                             "can't decode byte 0xff"):
+        with pytest.raises(gzip.BadGzipFile, match=f"^{re.escape(str(path))}: Compressed file "
+                                                   "ended before the end-of-stream marker "
+                                                   "was reached$"):
             list(read_lines(str(path)))
 
     @pytest.mark.parametrize("load", [load_frequency_table, load_lexicon_file])
     def test_undecodable_table_or_lexicon_names_the_path(self, tmp_path, load):
+        """Line 1 is valid, so the undecodable line 2 is the first error."""
         path = tmp_path / "t"
-        path.write_bytes(b"#total 1\n\xffdog\t1\n")
+        line_1 = b"#total 1\n" if load is load_frequency_table else b"cat\tNN\n"
+        path.write_bytes(line_1 + b"\xffdog\t1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: 'utf-8' codec "
                                              "can't decode byte 0xff in position 0"):
             load(str(path))

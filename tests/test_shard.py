@@ -357,10 +357,8 @@ def test_any_exception_ends_like_one_process(tmp_path, capsys, cpus, monkeypatch
 @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_invalid_utf8_in_a_worker_block(tmp_path, capsys, monkeypatch, cpus, workers, suffix):
-    """The input is decoded in chunks of about 8 KiB, so decoding fails
-    where the bad chunk starts (record 128 of the plain file), in a forked
-    worker's block 1; the message names the bad byte's own line, 151, in
-    every process."""
+    """Decoding fails at line 151, in a forked worker's block 1; the
+    message names that line in every process."""
     monkeypatch.setattr(shard, "B", 100)
     path = tmp_path / ("c.txt" + suffix)
     lines = [f"caption {i:04d} ".ljust(63, "x").encode("ascii") + b"\n" for i in range(400)]
@@ -371,6 +369,46 @@ def test_invalid_utf8_in_a_worker_block(tmp_path, capsys, monkeypatch, cpus, wor
                                               "--strategy", "random")
     assert (code, stdout, err) == (1, "", f"error: {path}:151: 'utf-8' codec can't decode "
                                           "byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("case", ["jsonl", "pretagged", "freq-table", "lexicon"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_first_bad_line_in_file_order_is_reported(tmp_path, capsys, cpus, workers, case):
+    """Line 2 is malformed and line 3 undecodable, within the same 8 KiB
+    of one file: every process reports line 2."""
+    corpus, bad = str(jsonl_corpus(tmp_path)), str(tmp_path / "bad")
+    line_1, line_2, message, argv = {
+        "jsonl": (b'{"caption": "a dog"}', b"{not json",
+                  "invalid JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)",
+                  ["--input", bad, "--format", "jsonl", "--strategy", "truncation"]),
+        "pretagged": (b"the/DT dog/NN", b"the/DT cat", "malformed word/TAG pair at index 1: 'cat'",
+                      ["--input", bad, "--pretagged", "--strategy", "random"]),
+        "freq-table": (b"#total 2", b"caption", "expected '<word>\\t<count>'",
+                       ["--input", corpus, "--format", "jsonl", "--strategy", "frequency",
+                        "--freq-table", bad]),
+        "lexicon": (b"caption\tNN", b"number", "expected '<word>\\t<TAG>'",
+                    ["--input", corpus, "--format", "jsonl", "--strategy", "syntax",
+                     "--lexicon", bad]),
+    }[case]
+    with open(bad, "wb") as fh:
+        fh.write(b"\n".join([line_1, line_2, b"\xff"] + [line_1] * RECORDS) + b"\n")
+    assert ends_like_one_process(tmp_path, capsys, workers, *argv) == (
+        1, "", f"error: {bad}:2: {message}\n")
+
+
+@pytest.mark.parametrize("field", ["caption", "id"])
+def test_lone_surrogate_in_a_worker_block(tmp_path, capsys, cpus, field):
+    """Record 10 is in block 1, a forked worker's: it fails on read with
+    its line named, as in one process, not when its output is encoded."""
+    path = jsonl_corpus(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[10] = lines[10].replace(f'"{field}": "', f'"{field}": "\\ud800', 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert ends_like_one_process(tmp_path, capsys, 2, "--input", str(path), "--format", "jsonl",
+                                 "--strategy", "truncation") == (
+        1, "", f"error: {path}:11: '{field}' holds a lone surrogate: 'utf-8' codec can't "
+               "encode character '\\ud800' in position 0: surrogates not allowed\n")
 
 
 @pytest.mark.parametrize("workers", [2, 3])
