@@ -81,23 +81,10 @@ __all__ = [
     "write_masked",
 ]
 
-# Names re-exported from .analysis; ``__getattr__`` imports it on first use.
-_ANALYSIS_EXPORTS = frozenset({
-    "CorpusStats",
-    "DistributionReport",
-    "PosShareReport",
-    "TokenBudget",
-    "corpus_stats",
-    "distribution_report",
-    "pos_share_report",
-    "slot_utilization",
-    "standard_budget_table",
-    "token_budget",
-})
-
 
 def __getattr__(name: str):
-    if name == "analysis" or name in _ANALYSIS_EXPORTS:
+    # The __all__ names not bound above are the report names of .analysis.
+    if name == "analysis" or name in __all__:
         # Not ``from . import analysis``: its hasattr check would call back here.
         analysis = importlib.import_module(".analysis", __name__)
         return analysis if name == "analysis" else getattr(analysis, name)

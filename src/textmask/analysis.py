@@ -58,11 +58,6 @@ class DistributionReport:
     rows: list[DistributionRow]
 
 
-def check_top_n(top_n: int) -> None:
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
-
-
 def distribution_report(
     before: Sequence[Sequence[str]],
     after: Mapping[str, Iterable[MaskedOutput]],
@@ -74,7 +69,8 @@ def distribution_report(
     sides. Ranks follow descending original count, ties lexicographic.
     Each strategy's output stream is read once and must match ``before``.
     """
-    check_top_n(top_n)
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     before_counts: Counter[str] = Counter()
     for tokens in before:
         before_counts.update(tokens)

@@ -38,7 +38,6 @@ from .maskers import (
     STRATEGIES,
     MaskedOutput,
     MaskingConfig,
-    _check_k,
     apply_mask,
     record_seed,
 )
@@ -94,6 +93,18 @@ def _at_least_one(value: str) -> int:
     return number
 
 
+def _threshold(value: str) -> float:
+    """An argparse ``type``: a float that ``validate_threshold`` accepts."""
+    try:
+        t = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    try:
+        return validate_threshold(t)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _strategy_list(value: str) -> list[str]:
     """An argparse ``type``: comma-separated strategies, each named once."""
     strategies = [s.strip() for s in value.split(",") if s.strip()]
@@ -119,9 +130,9 @@ def _add_pretagged_arg(p: argparse._ActionsContainer) -> None:
 
 
 def _add_masking_args(p: argparse.ArgumentParser, freq_table_required: bool = False) -> None:
-    p.add_argument("--k", type=int, default=MaskingConfig.k,
+    p.add_argument("--k", type=_at_least_one, default=MaskingConfig.k,
                    help="number of tokens to keep per caption (default: %(default)s)")
-    p.add_argument("--t", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--t", type=_threshold, default=DEFAULT_THRESHOLD,
                    help="relative-frequency threshold for frequency/swclip "
                         "(default: %(default)s)")
     p.add_argument("--seed", type=int, default=MaskingConfig.seed,
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                               default=",".join(STRATEGIES),
                               help="comma-separated strategies to compare")
         if report == "dist":
-            p_report.add_argument("--top-n", type=int, default=50,
+            p_report.add_argument("--top-n", type=_at_least_one, default=50,
                                   help="words to rank by original count (default: %(default)s)")
         p_report.add_argument("--output", help="CSV file to write")
 
@@ -318,17 +329,18 @@ def _emit_csv(args: argparse.Namespace, write) -> None:
 
 def _analyze_corpus(args: argparse.Namespace):
     """Prepare the corpus once; return it and one lazy, one-shot output stream per strategy."""
+    # A given table is read first, as ``mask`` and ``demo`` read it, even
+    # when no chosen strategy uses it.
+    table = load_frequency_table(args.freq_table) if args.freq_table else None
     want_tags = "syntax" in args.strategies or args.report == "pos"
     # Records share one str per word type, so the corpus held across the
     # strategies costs a reference per token, not a string per token.
     words: dict[str, str] = {}
     prepared = [(list(map(words.setdefault, tokens, tokens)), tags)
                 for _, tokens, tags in _prepared(args, _load_lexicon_arg(args), want_tags)]
-    table = None
-    if FREQUENCY_STRATEGIES.intersection(args.strategies):
+    if table is None and FREQUENCY_STRATEGIES.intersection(args.strategies):
         # Without --freq-table, the frequency strategies read this corpus's own counts.
-        table = (load_frequency_table(args.freq_table) if args.freq_table
-                 else build_frequency_table(tokens for tokens, _ in prepared))
+        table = build_frequency_table(tokens for tokens, _ in prepared)
 
     def stream(config: MaskingConfig) -> Iterator[MaskedOutput]:
         for i, (tokens, tags) in enumerate(prepared):
@@ -369,11 +381,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _emit_csv(args, lambda fh: analysis.write_stats_csv(stats, fh))
         return 0
 
-    # Checked before the input is opened, as ``mask`` does.
-    _check_k(args.k)
-    validate_threshold(args.t)
-    if args.report == "dist":
-        analysis.check_top_n(args.top_n)
     prepared, masked = _analyze_corpus(args)
 
     if args.report == "dist":

@@ -107,8 +107,15 @@ def open_text_write(path: str) -> Iterator[IO[str]]:
             yield fh
         return
     tmp = f"{path}.{os.getpid()}.tmp"
-    # Opened outside the try: a temp file this call did not create is not removed.
-    raw = open(tmp, "xb")
+    # Opened before the cleanup below: a temp file this call did not create is not removed.
+    try:
+        raw = open(tmp, "xb")
+    except FileExistsError:
+        raise
+    except OSError as exc:
+        # Name the output asked for, not the temp file beside it.
+        exc.filename = path
+        raise
     try:
         with raw, _text_writer(raw, path) as fh:
             yield fh

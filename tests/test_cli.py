@@ -357,20 +357,50 @@ class TestAnalyzeSlots:
 
 
 class TestErrorHandling:
-    @pytest.mark.parametrize("report,flag,value,message", [
-        (report, flag, value, message)
-        for report in ("dist", "pos", "slots")
-        for flag, value, message in (("--k", "0", "keep-length k must be >= 1, got 0"),
-                                     ("--t", "2", "threshold must be in (0, 1), got 2.0"))
-    ] + [("dist", "--top-n", "0", "top_n must be >= 1, got 0")])
-    def test_analyze_checks_arguments_before_reading_input(self, tmp_path, capsys, report,
-                                                           flag, value, message):
-        corpus = write_corpus(tmp_path / "c.jsonl", ['{"id": "1", "caption": "a dog"}',
-                                                     "{not json"])
-        code, _, err = run(capsys, "analyze", report, "--input", corpus, "--format", "jsonl",
-                           flag, value)
-        assert code == 1
-        assert err == f"error: {message}\n"
+    @pytest.mark.parametrize("command,flag,value,message", [
+        (command, flag, value, message)
+        for command in ("mask", "demo", "dist", "pos", "slots")
+        for flag, value, message in (("--k", "0", "must be at least 1, got 0"),
+                                     ("--t", "2", "threshold must be in (0, 1), got 2.0"),
+                                     ("--t", "nan", "threshold must be in (0, 1), got nan"))
+    ] + [("dist", "--top-n", "0", "must be at least 1, got 0")])
+    def test_analyze_checks_arguments_before_reading_input(self, tmp_path, capsys, monkeypatch,
+                                                           command, flag, value, message):
+        """A bad flag value is a usage error of every command that takes the
+        flag, raised before the corpus (bad JSON on line 2) or the table
+        (missing) is opened and before anything is printed or written."""
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "c.jsonl", ['{"id": "1", "caption": "a dog"}', "{not json"])
+        corpus = ["--input", "c.jsonl", "--format", "jsonl", "--output", "out"]
+        argv, prog = {
+            "mask": (["mask", "--strategy", "truncation"] + corpus, "mask"),
+            "demo": (["demo", "--caption", "a dog", "--freq-table", "missing.freq"], "demo"),
+        }.get(command, (["analyze", command] + corpus, f"analyze {command}"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: textmask {prog} ")
+        assert err.splitlines()[-1] == f"textmask {prog}: error: argument {flag}: {message}"
+        assert os.listdir(tmp_path) == ["c.jsonl"]
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "dist"],
+        ["analyze", "slots", "--strategies", "truncation"],
+    ], ids=["dist", "slots-truncation"])
+    def test_given_freq_table_is_read_before_the_corpus(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        """``analyze`` reads a given table first, as ``mask`` does, even when
+        no chosen strategy uses it: a missing one is reported, not the bad
+        JSON on line 2 and not a clean exit."""
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "b.jsonl", ['{"id": "1", "caption": "a dog"}', "{not json"])
+        corpus = ["--input", "b.jsonl", "--format", "jsonl", "--freq-table", "missing.freq"]
+        mask = run(capsys, "mask", "--strategy", "truncation", "--output", "m.txt", *corpus)
+        assert mask == (1, "", "error: [Errno 2] No such file or directory: 'missing.freq'\n")
+        assert run(capsys, *command, *corpus) == mask
+        assert os.listdir(tmp_path) == ["b.jsonl"]
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "freq", "--input", str(tmp_path / "nope.txt"),
@@ -523,6 +553,20 @@ class TestOutputSafety:
         assert out.read_bytes() == b"old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gz", "out", "t.freq",
                                                               "toy.txt"]
+
+    @pytest.mark.parametrize("command", [
+        ["mask", "--strategy", "truncation"],
+        ["mask", "--strategy", "truncation", "--threads", "2"],
+        ["freq"],
+        ["analyze", "slots", "--strategies", "truncation"],
+    ], ids=["mask", "mask-threads-2", "freq", "analyze-slots"])
+    def test_unwritable_output_names_the_output(self, tmp_path, capsys, toy_corpus, command):
+        """The error names --output, not the temp file written beside it."""
+        out = tmp_path / "missing" / "out"
+        code, _, err = run(capsys, *command, "--input", toy_corpus, "--output", str(out))
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["toy.txt"]
 
     @pytest.mark.parametrize("caption", ["null", "12", '["a", "b"]', "{}"])
     def test_non_string_caption_fails(self, tmp_path, capsys, caption):

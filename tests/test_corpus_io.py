@@ -511,6 +511,22 @@ class TestAtomicWrite:
         assert not temp.exists()
         assert gzip.decompress(path.read_bytes()) == b"new\n"
 
+    def test_failed_temp_open_names_the_path_unless_the_temp_exists(self, tmp_path):
+        """A missing directory names the output; a stale temp file is named
+        itself, and kept, since this call did not create it."""
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as exc:
+            with open_text_write(str(path)):
+                pass
+        assert exc.value.filename == str(path)
+        temp = tmp_path / f"out.txt.{os.getpid()}.tmp"
+        temp.write_text("stale\n", encoding="utf-8")
+        with pytest.raises(FileExistsError) as exc:
+            with open_text_write(str(tmp_path / "out.txt")):
+                pass
+        assert exc.value.filename == str(temp)
+        assert os.listdir(tmp_path) == [temp.name]
+
     def test_new_file_gets_umask_permissions(self, tmp_path):
         path = tmp_path / "out.txt"
         old_umask = os.umask(0o027)
