@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus_io import FORMATS, CaptionRecord, open_text_write, read_corpus, write_masked
 from .freq import (
@@ -320,13 +320,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_csv(args: argparse.Namespace, write) -> None:
-    if args.output:
-        with open_text_write(args.output) as fh:
-            write(fh)
-        print(f"wrote {args.output}")
-
-
 def _analyze_corpus(args: argparse.Namespace):
     """Prepare the corpus once; return it and one lazy, one-shot output stream per strategy."""
     # A given table is read first, as ``mask`` and ``demo`` read it, even
@@ -351,6 +344,18 @@ def _analyze_corpus(args: argparse.Namespace):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not args.output:
+        _report(args)
+        return 0
+    # Opened before any input is read, as ``mask`` opens it.
+    with open_text_write(args.output) as fh:
+        _report(args)(fh)
+    print(f"wrote {args.output}")
+    return 0
+
+
+def _report(args: argparse.Namespace) -> Callable[[IO[str]], None]:
+    """Print ``args.report``'s table and return the writer of its CSV."""
     # Imported here, so the other commands never load the report code.
     from . import analysis
 
@@ -369,8 +374,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for b in budgets:
             print(f"{b.image_tokens:>6} {b.text_tokens:>5} {b.total:>6} "
                   f"{analysis.round_half_up(b.percentage):>6.2f}%")
-        _emit_csv(args, lambda fh: analysis.write_budget_csv(budgets, fh))
-        return 0
+        return lambda fh: analysis.write_budget_csv(budgets, fh)
 
     if args.report == "stats":
         stats = analysis.corpus_stats(tokens for _, tokens, _ in _prepared(args))
@@ -378,8 +382,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"total words  {stats.total_words}")
         print(f"mean length  {stats.mean_length:.4f}")
         print(f"std length   {stats.std_length:.4f}")
-        _emit_csv(args, lambda fh: analysis.write_stats_csv(stats, fh))
-        return 0
+        return lambda fh: analysis.write_stats_csv(stats, fh)
 
     prepared, masked = _analyze_corpus(args)
 
@@ -393,8 +396,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for row in report.rows:
             cells = " ".join(f"{row.after[s]:>10}" for s in report.strategies)
             print(f"{row.rank:>4} {row.word:<{width}} {row.before:>8} {cells}")
-        _emit_csv(args, lambda fh: analysis.write_distribution_csv(report, fh))
-        return 0
+        return lambda fh: analysis.write_distribution_csv(report, fh)
 
     if args.report == "pos":
         report = analysis.pos_share_report([tags for _, tags in prepared], masked)
@@ -404,15 +406,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             shares = " ".join(
                 f"{analysis.round_half_up(row.percentage(c)):>7.2f}%" for c in analysis.CATEGORIES)
             print(f"{row.label:<12} {shares} {row.total:>10}")
-        _emit_csv(args, lambda fh: analysis.write_pos_csv(report, fh))
-        return 0
+        return lambda fh: analysis.write_pos_csv(report, fh)
 
     assert args.report == "slots"
     utilization = {s: analysis.slot_utilization(outputs, args.k) for s, outputs in masked.items()}
     for strategy, value in utilization.items():
         print(f"{strategy:<12} {value:.6f}")
-    _emit_csv(args, lambda fh: analysis.write_slots_csv(utilization, fh))
-    return 0
+    return lambda fh: analysis.write_slots_csv(utilization, fh)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -11,7 +11,8 @@ frequency ranking of the vocabulary is preserved.
 
 ``subsample_probability`` is the one definition of P. ``FrequencyTable``
 is frozen and caches, per threshold, a map from each distinct count to its
-P; the maskers and ``mask_probability`` all read that map.
+P. ``mask_probabilities`` is the one lookup from tokens to P through that
+map; the maskers and ``mask_probability`` all call it.
 """
 
 from __future__ import annotations
@@ -113,12 +114,20 @@ def subsample_probability(rel_freq: float, t: float = DEFAULT_THRESHOLD) -> floa
     return p if p < 1.0 else 1.0
 
 
-def mask_probability(word: str, table: FrequencyTable, t: float = DEFAULT_THRESHOLD) -> float:
-    """Masking probability of ``word`` under ``table``.
+def mask_probabilities(tokens: Sequence[str], table: FrequencyTable,
+                       t: float = DEFAULT_THRESHOLD) -> list[float]:
+    """Each token's masking probability under ``table``, in token order.
 
-    Unknown words return 0.0 (treated as arbitrarily rare, never masked).
-    """
-    return table.probabilities(t).get(table.counts.get(word), 0.0)
+    A word the table lacks gets 0.0 (arbitrarily rare, never masked). ``t``
+    is validated even when there are no tokens."""
+    probs = table.probabilities(t)
+    count = table.counts.get
+    return [probs.get(count(tok), 0.0) for tok in tokens]
+
+
+def mask_probability(word: str, table: FrequencyTable, t: float = DEFAULT_THRESHOLD) -> float:
+    """Masking probability of ``word`` under ``table``; see ``mask_probabilities``."""
+    return mask_probabilities((word,), table, t)[0]
 
 
 # --- persistence ------------------------------------------------------------

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .freq import DEFAULT_THRESHOLD, FrequencyTable, validate_threshold
+from .freq import DEFAULT_THRESHOLD, FrequencyTable, mask_probabilities, validate_threshold
 
 STRATEGIES = ("truncation", "random", "block", "syntax", "frequency", "swclip")
 
@@ -81,7 +81,11 @@ class MaskedOutput:
 
 @dataclass
 class MaskingConfig:
-    """Run-level masking parameters shared by every record of a corpus pass."""
+    """Run-level masking parameters shared by every record of a corpus pass.
+
+    ``seed`` and ``epoch`` reach a record only through ``record_seed``, as in
+    the README's library example: ``apply_mask(tokens, config)`` on its own
+    uses ``config.seed`` and ignores ``epoch``."""
 
     strategy: str
     k: int = 8
@@ -182,21 +186,13 @@ def mask_frequency(
     input slot is used.
     """
     _check_k(k)
-    probs = table.probabilities(t)
+    probs = mask_probabilities(tokens, table, t)
     n = len(tokens)
     if n <= k:
         return _identity(tokens)
-    rng = random.Random(seed)
-    counts = table.counts
-    rand = rng.random
+    rand = random.Random(seed).random
     log = math.log
-    keys = []
-    for tok in tokens:
-        w = probs.get(counts.get(tok), 0.0)
-        if w < WEIGHT_FLOOR:
-            w = WEIGHT_FLOOR
-        # Exponential race: key ~ Exp(w); the n-k smallest keys are removed.
-        keys.append(-log(1.0 - rand()) / w)
+    keys = [-log(1.0 - rand()) / (w if w > WEIGHT_FLOOR else WEIGHT_FLOOR) for w in probs]
     ranked = sorted(range(n), key=keys.__getitem__)
     return _select(tokens, sorted(ranked[n - k:]))
 
@@ -215,13 +211,8 @@ def mask_swclip(
     input slots, unlike every other strategy here.
     """
     _check_k(k)
-    probs = table.probabilities(t)
-    counts = table.counts
-    rng = random.Random(seed)
-    kept: list[int] = []
-    for i, tok in enumerate(tokens):
-        if rng.random() >= probs.get(counts.get(tok), 0.0):
-            kept.append(i)
+    rand = random.Random(seed).random
+    kept = [i for i, p in enumerate(mask_probabilities(tokens, table, t)) if rand() >= p]
     return _select(tokens, kept[:k])
 
 

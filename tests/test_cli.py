@@ -555,16 +555,27 @@ class TestOutputSafety:
                                                               "toy.txt"]
 
     @pytest.mark.parametrize("command", [
-        ["mask", "--strategy", "truncation"],
-        ["mask", "--strategy", "truncation", "--threads", "2"],
-        ["freq"],
-        ["analyze", "slots", "--strategies", "truncation"],
-    ], ids=["mask", "mask-threads-2", "freq", "analyze-slots"])
+        ["mask", "--strategy", "truncation", "--input", "{toy}"],
+        ["mask", "--strategy", "truncation", "--threads", "2", "--input", "{toy}"],
+        ["freq", "--input", "{toy}"],
+        ["analyze", "slots", "--strategies", "truncation", "--input", "{toy}"],
+        ["analyze", "dist", "--strategies", "truncation", "--input", "{toy}"],
+        ["analyze", "pos", "--strategies", "truncation", "--input", "{toy}"],
+        ["analyze", "stats", "--input", "{toy}"],
+        ["analyze", "budget"],
+        ["mask", "--strategy", "truncation", "--input", "{missing}"],
+        ["analyze", "slots", "--strategies", "truncation", "--input", "{missing}"],
+    ], ids=["mask", "mask-threads-2", "freq", "analyze-slots", "analyze-dist", "analyze-pos",
+            "analyze-stats", "analyze-budget", "mask-missing-input",
+            "analyze-slots-missing-input"])
     def test_unwritable_output_names_the_output(self, tmp_path, capsys, toy_corpus, command):
-        """The error names --output, not the temp file written beside it."""
+        """The error names --output, not the temp file written beside it.
+        ``mask`` and ``analyze`` open --output before they read any input,
+        so they print no report and blame no input."""
         out = tmp_path / "missing" / "out"
-        code, _, err = run(capsys, *command, "--input", toy_corpus, "--output", str(out))
-        assert code == 1
+        argv = [arg.format(toy=toy_corpus, missing=tmp_path / "no-input") for arg in command]
+        code, stdout, err = run(capsys, *argv, "--output", str(out))
+        assert (code, stdout) == (1, "")
         assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert sorted(os.listdir(tmp_path)) == ["toy.txt"]
 

@@ -6,6 +6,7 @@ import pytest
 from textmask.freq import (
     FrequencyTable,
     build_frequency_table,
+    mask_probabilities,
     mask_probability,
     subsample_probability,
 )
@@ -275,14 +276,18 @@ class TestThresholdValidation:
         lambda table, t: subsample_probability(0.5, t),
         lambda table, t: mask_probability("a", table, t),
         lambda table, t: mask_probability("unknown", table, t),
+        lambda table, t: mask_probabilities(["a"], table, t),
+        lambda table, t: mask_probabilities(["unknown"], table, t),
+        lambda table, t: mask_probabilities([], table, t),
         lambda table, t: mask_frequency(["a", "b", "a"], table, t, 1, 0),
         lambda table, t: mask_frequency(["a"], table, t, 3, 0),
         lambda table, t: mask_swclip(["a", "b"], table, t, 3, 0),
         lambda table, t: mask_swclip([], table, t, 3, 0),
         lambda table, t: MaskingConfig("frequency", t=t, freq_table=table),
     ], ids=["probabilities", "probabilities-empty-table", "subsample_probability",
-            "mask_probability-known", "mask_probability-unknown", "frequency",
-            "frequency-short", "swclip", "swclip-empty", "config"])
+            "mask_probability-known", "mask_probability-unknown",
+            "mask_probabilities-known", "mask_probabilities-unknown", "mask_probabilities-empty",
+            "frequency", "frequency-short", "swclip", "swclip-empty", "config"])
     def test_invalid_threshold_rejected_on_every_path(self, call, t):
         with pytest.raises(ValueError, match="threshold"):
             call(self.TABLE, t)

@@ -6,7 +6,8 @@ min(n, k) slots (swclip: at most that many), and give the same output for
 the same (tokens, config, seed). Frequency tables built from such tokens
 must survive a dump/parse round trip unchanged and be written in
 descending-count order, ties lexicographic, and merging them must not
-depend on order. The distribution report's top-N rows must equal a full
+depend on order. The token-to-probability lookup must equal the formula
+applied word by word. The distribution report's top-N rows must equal a full
 sort's first N. Tagging through a memo and the syntax ranking must
 agree with their direct definitions, and the jsonl line formatter with
 ``json.dumps``.
@@ -28,9 +29,12 @@ from textmask.freq import (
     build_frequency_table,
     dump_frequency_table,
     load_frequency_table,
+    mask_probabilities,
+    mask_probability,
     merge,
     parse_frequency_table,
     save_frequency_table,
+    subsample_probability,
 )
 from textmask.maskers import (
     STRATEGIES,
@@ -111,6 +115,22 @@ def test_frequency_table_is_written_by_descending_count_then_word(counts):
     rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     assert buffer.getvalue() == f"#total {table.total}\n" + "".join(
         f"{word}\t{count}\n" for word, count in rows)
+
+
+@given(counts=st.dictionaries(table_words, st.integers(1, 10**6), min_size=1, max_size=20),
+       picks=st.lists(st.one_of(st.integers(0, 19), table_words), max_size=30),
+       t=thresholds)
+@example(counts={"a": 999_999, "b": 1}, picks=[0, "c", 1, 0], t=1e-6)
+def test_mask_probabilities_equals_per_word_reference(counts, picks, t):
+    """Table words (an int picks one) mixed with any words: each gets the
+    formula at its relative frequency, or 0.0 when the table lacks it."""
+    table = FrequencyTable(counts, sum(counts.values()))
+    words = sorted(counts)
+    tokens = [words[p % len(words)] if isinstance(p, int) else p for p in picks]
+    expected = [subsample_probability(table.counts[w] / table.total, t) if w in table.counts
+                else 0.0 for w in tokens]
+    assert mask_probabilities(tokens, table, t) == expected
+    assert mask_probabilities(tokens, table, t) == [mask_probability(w, table, t) for w in tokens]
 
 
 @given(corpus=st.lists(st.lists(st.sampled_from(["b", "a", "c", "é", "日本", "ß", ".", "x"]),
