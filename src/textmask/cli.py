@@ -8,17 +8,13 @@ Subcommands:
     analyze    dist | pos | budget | stats | slots reports (table to stdout,
                CSV to --output)
 
-``mask --threads N`` masks on up to N forked worker processes (no more
-than the CPUs this process may use) while this process only writes their
-blocks in input order, and writes byte-identical output for any N. Where
-``os.fork`` is missing or the input is not a regular file, this process
-masks alone.
+``mask --threads N`` writes byte-identical output for any N; ``shard``
+decides how many processes mask, and on which CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -273,32 +269,16 @@ def cmd_mask(args: argparse.Namespace) -> int:
         return mask_records(_prepared(args, lexicon, want_tags, owns), config)
 
     output_format = args.output_format or args.format
-    workers = _worker_count(args.threads, args.input)
-    if workers > 1:
+    if args.threads > 1:
         # Imported only here, so serial runs neither load nor compile it.
         from . import shard
 
-        count = shard.write_sharded(pairs_for, args.output, output_format, workers)
+        count = shard.write_sharded(pairs_for, args.output, output_format, args.threads,
+                                    args.input)
     else:
         count = write_masked(pairs_for(), args.output, output_format)
     print(f"masked {count} captions -> {args.output}")
     return 0
-
-
-def _worker_count(threads: int, input_path: str) -> int:
-    """``--threads`` capped at the CPUs this process may use.
-
-    1 without ``os.fork``, and 1 unless ``input_path`` is (or links to) a
-    regular file: every worker opens the input itself, and a pipe, FIFO or
-    device is one stream the workers would split between them.
-    """
-    if not hasattr(os, "fork") or not os.path.isfile(input_path):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(threads, cpus)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:

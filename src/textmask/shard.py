@@ -1,5 +1,12 @@
 """Mask a corpus across forked worker processes, byte-identical to one process.
 
+This module alone decides how ``mask --threads N`` runs. It masks in the
+calling process where ``os.fork`` is missing, where the input is not a
+regular file (every worker opens and reads it from the start, so a pipe,
+FIFO or device would be split between them), or where the CPUs this
+process may use (its affinity, else ``os.cpu_count()``) leave room for
+one worker only. Otherwise it forks ``min(N, CPUs)`` workers.
+
 Records are dealt out in blocks of ``B``: record ``i`` belongs to worker
 ``(i // B) % workers``. All ``workers`` workers are forked from the
 calling process, which masks nothing itself: it only merges. Every
@@ -21,8 +28,7 @@ cleanly, the worker died of something else: a ``ChildProcessError``. The
 caller's lines never stand in for a worker's.
 
 Workers are forked, not spawned: they inherit the frequency table, tag
-memo and config already built, and nothing is pickled. The input must be
-a regular file, since every worker opens and reads it from the start.
+memo and config already built, and nothing is pickled.
 
 Each worker runs on its own share of the CPUs this process may use: the
 sorted CPUs are dealt round-robin into one set per worker, and each
@@ -46,7 +52,7 @@ import struct
 import sys
 from typing import IO, Callable, Iterator
 
-from .corpus_io import CaptionRecord, line_formatter, open_text_write
+from .corpus_io import CaptionRecord, line_formatter, open_text_write, write_masked
 from .maskers import MaskedOutput
 
 # Records per block. One block of jsonl output (about 100 bytes a record
@@ -61,21 +67,27 @@ Line = Callable[[CaptionRecord, MaskedOutput], str]
 
 
 def write_sharded(
-    pairs_for: Callable[[Callable[[int], bool]], Pairs],
+    pairs_for: Callable[[Callable[[int], bool] | None], Pairs],
     path: str,
     format: str,
-    workers: int,
+    threads: int,
+    input_path: str,
 ) -> int:
-    """Write what ``write_masked(pairs_for(lambda i: True), path, format)``
-    writes, with the masking spread over ``workers`` forked processes.
+    """Write what ``write_masked(pairs_for(None), path, format)`` writes,
+    with the masking spread over up to ``threads`` forked processes that
+    read ``input_path``, or done in this process where they cannot run.
 
     ``pairs_for(owns)`` must yield the masked pairs of exactly the records
-    whose index satisfies ``owns``, in input order; each worker calls it
-    once. Returns the number of records written.
+    whose index satisfies ``owns`` (every record for None), in input
+    order; each worker calls it once. Returns the number of records written.
     """
+    cpu_sets = _cpu_sets(threads)
+    # isfile also accepts a symlink to a regular file.
+    if len(cpu_sets) < 2 or not hasattr(os, "fork") or not os.path.isfile(input_path):
+        return write_masked(pairs_for(None), path, format)
+    workers = len(cpu_sets)
     line = line_formatter(format)
     children: list[tuple[int, IO[bytes]]] = []
-    cpu_sets = _cpu_sets(workers)
     sys.stdout.flush()
     sys.stderr.flush()
     try:
@@ -90,7 +102,7 @@ def write_sharded(
             if pid == 0:
                 inherited = [read_fd] + [reader.fileno() for _, reader in children]
                 _serve(pairs_for, line, worker, workers, write_fd, inherited,
-                       cpu_sets and cpu_sets[worker])
+                       cpu_sets[worker])
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
 
@@ -119,13 +131,14 @@ def write_sharded(
                 os.waitpid(pid, 0)
 
 
-def _cpu_sets(workers: int) -> list[set[int]] | None:
-    """The CPUs this process may use, dealt round-robin into one set per
-    worker; None where they cannot be pinned."""
-    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "sched_setaffinity"):
-        return None
-    cpus = sorted(os.sched_getaffinity(0))
-    return [set(cpus[worker::workers]) for worker in range(workers)]
+def _cpu_sets(threads: int) -> list[set[int]]:
+    """One CPU set per worker, for ``threads`` workers capped at the CPUs
+    this process may use: those CPUs dealt round-robin, or empty sets
+    (run unpinned) where they cannot be read or pinned."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    workers = min(threads, len(cpus) or os.cpu_count() or 1)
+    pin = cpus and hasattr(os, "sched_setaffinity")
+    return [set(cpus[worker::workers]) if pin else set() for worker in range(workers)]
 
 
 def _owner(worker: int, workers: int) -> Callable[[int], bool]:
@@ -138,9 +151,9 @@ def _block_lines(pairs: Pairs, line: Line) -> list[str]:
 
 
 def _serve(pairs_for, line: Line, worker: int, workers: int, write_fd: int,
-           inherited: list[int], cpus: set[int] | None) -> None:
+           inherited: list[int], cpus: set[int]) -> None:
     """A forked worker's whole life: close the read ends it inherited, pin
-    itself to ``cpus`` if given, send its blocks, then leave via
+    itself to ``cpus`` unless empty, send its blocks, then leave via
     ``os._exit``, never returning to the caller. On any error it stops
     sending; the caller finds its frame missing."""
     status = 1

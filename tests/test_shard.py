@@ -488,12 +488,20 @@ def test_stream_input_runs_in_one_process(tmp_path, capsys, corpus, cpus, forks,
 
 
 def test_cpus_dealt_round_robin(monkeypatch):
+    """One set per worker, capped at the CPUs this process may use; empty
+    sets (unpinned workers) where the CPUs cannot be read or pinned."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 0, 2, 5, 3}, raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert shard._cpu_sets(1) == [{0, 2, 3, 5, 7}]
     assert shard._cpu_sets(2) == [{0, 3, 7}, {2, 5}]
-    assert shard._cpu_sets(5) == [{0}, {2}, {3}, {5}, {7}]
+    assert shard._cpu_sets(5) == shard._cpu_sets(64) == [{0}, {2}, {3}, {5}, {7}]
     monkeypatch.delattr(os, "sched_setaffinity")
-    assert shard._cpu_sets(2) is None
+    assert shard._cpu_sets(2) == [set(), set()]
+    assert shard._cpu_sets(64) == [set()] * 5
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert shard._cpu_sets(64) == [set()] * 8
+    assert shard._cpu_sets(3) == [set()] * 3
 
 
 @needs_pinning
