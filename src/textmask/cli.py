@@ -155,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p_freq)
     _add_pretagged_arg(p_freq)
     p_freq.add_argument("--output", required=True, help="frequency-table file to write")
+    p_freq.set_defaults(run=cmd_freq)
 
     p_mask = sub.add_parser("mask", help="mask a corpus with one strategy")
     _add_input_args(p_mask)
@@ -170,13 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "output is byte-identical for any value (default: %(default)s)")
     # cmd_mask checks --strategy against --freq-table, and reports a
     # mismatch as this subcommand's usage error.
-    p_mask.set_defaults(usage_error=p_mask.error)
+    p_mask.set_defaults(run=cmd_mask, usage_error=p_mask.error)
 
     p_demo = sub.add_parser("demo", help="show every strategy on one caption")
     p_demo.add_argument("--caption", required=True, help="caption text")
     _add_masking_args(p_demo, freq_table_required=True)
+    p_demo.set_defaults(run=cmd_demo)
 
     p_an = sub.add_parser("analyze", help="emit a diagnostic report")
+    p_an.set_defaults(run=cmd_analyze)
     an_sub = p_an.add_subparsers(dest="report", required=True)
 
     for report, help_text in [("dist", "top-N word distribution per strategy"),
@@ -398,14 +401,7 @@ def _report(args: argparse.Namespace) -> Callable[[IO[str]], None]:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "freq":
-            return cmd_freq(args)
-        if args.command == "mask":
-            return cmd_mask(args)
-        if args.command == "demo":
-            return cmd_demo(args)
-        assert args.command == "analyze"
-        return cmd_analyze(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .freq import DEFAULT_THRESHOLD, FrequencyTable, mask_probabilities, validate_threshold
+from .postag import CATEGORIES
 
 STRATEGIES = ("truncation", "random", "block", "syntax", "frequency", "swclip")
 
@@ -39,7 +40,7 @@ FREQUENCY_STRATEGIES = frozenset({"frequency", "swclip"})
 # Strategies that draw random numbers; truncation and syntax ignore any seed.
 SEEDED_STRATEGIES = FREQUENCY_STRATEGIES | {"random", "block"}
 
-_PRIORITY = {"NN": 0, "JJ": 1, "VB": 2, "OTHER": 3}
+_PRIORITY = {category: rank for rank, category in enumerate(CATEGORIES)}
 
 # Floor for removal weights so that captions where more than n-k tokens have
 # zero masking probability still sample uniformly instead of degenerating.
@@ -108,11 +109,6 @@ def _check_k(k: int) -> None:
         raise ValueError(f"keep-length k must be >= 1, got {k}")
 
 
-def _identity(tokens: Sequence[str]) -> MaskedOutput:
-    n = len(tokens)
-    return MaskedOutput(list(tokens), list(range(n)), n)
-
-
 def _select(tokens: Sequence[str], indices: list[int]) -> MaskedOutput:
     return MaskedOutput([tokens[i] for i in indices], indices, len(tokens))
 
@@ -120,9 +116,7 @@ def _select(tokens: Sequence[str], indices: list[int]) -> MaskedOutput:
 def mask_truncation(tokens: Sequence[str], k: int) -> MaskedOutput:
     """Keep the first min(n, k) tokens. Ignores any seed."""
     _check_k(k)
-    if len(tokens) <= k:
-        return _identity(tokens)
-    return _select(tokens, list(range(k)))
+    return _select(tokens, list(range(min(len(tokens), k))))
 
 
 def mask_random(tokens: Sequence[str], k: int, seed: int) -> MaskedOutput:
@@ -130,7 +124,7 @@ def mask_random(tokens: Sequence[str], k: int, seed: int) -> MaskedOutput:
     _check_k(k)
     n = len(tokens)
     if n <= k:
-        return _identity(tokens)
+        return _select(tokens, list(range(n)))
     rng = random.Random(seed)
     return _select(tokens, sorted(rng.sample(range(n), k)))
 
@@ -144,7 +138,7 @@ def mask_block(tokens: Sequence[str], k: int, seed: int) -> MaskedOutput:
     _check_k(k)
     n = len(tokens)
     if n <= k:
-        return _identity(tokens)
+        return _select(tokens, list(range(n)))
     start = random.Random(seed).randrange(n - k + 1)
     return _select(tokens, list(range(start, start + k)))
 
@@ -159,7 +153,7 @@ def mask_syntax(tokens: Sequence[str], tags: Sequence[str], k: int) -> MaskedOut
         raise ValueError(f"tags length {len(tags)} does not match token count {len(tokens)}")
     n = len(tokens)
     if n <= k:
-        return _identity(tokens)
+        return _select(tokens, list(range(n)))
     try:
         priority = [_PRIORITY[t] for t in tags]
     except KeyError as exc:
@@ -189,7 +183,7 @@ def mask_frequency(
     probs = mask_probabilities(tokens, table, t)
     n = len(tokens)
     if n <= k:
-        return _identity(tokens)
+        return _select(tokens, list(range(n)))
     rand = random.Random(seed).random
     log = math.log
     keys = [-log(1.0 - rand()) / (w if w > WEIGHT_FLOOR else WEIGHT_FLOOR) for w in probs]

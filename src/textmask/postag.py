@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 from .corpus_io import read_lines
 from .tokenizer import is_special_token
 
+# Also the syntax strategy's keep priority, highest first.
 CATEGORIES = ("NN", "JJ", "VB", "OTHER")
 
 _VERB_SUFFIXES = ("ing", "ed", "ize")

@@ -8,11 +8,11 @@ process may use (its affinity, else ``os.cpu_count()``) leave room for
 one worker only. Otherwise it forks ``min(N, CPUs)`` workers.
 
 Records are dealt out in blocks of ``B``: record ``i`` belongs to worker
-``(i // B) % workers``. All ``workers`` workers are forked from the
-calling process, which masks nothing itself: it only merges. Every
-worker decodes the whole input itself, parses and masks only the records
-it owns and sends each finished block to the caller as one frame over
-its own pipe.
+``(i // B) % workers``. The calling process opens the output, then forks
+all ``workers`` workers, then merges; it masks nothing itself, so an
+unwritable output fails before any worker starts. Every worker decodes
+the whole input itself, parses and masks only the records it owns and
+sends each finished block to the caller as one frame over its own pipe.
 The caller writes blocks 0, 1, 2, ... to the output file, so the output
 is the serial output and no process holds more than about one block of it.
 
@@ -90,24 +90,25 @@ def write_sharded(
     children: list[tuple[int, IO[bytes]]] = []
     sys.stdout.flush()
     sys.stderr.flush()
-    try:
-        for worker in range(workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
+    # The workers inherit this writer and must never flush or close it (a
+    # .gz header would be written twice); they leave by os._exit.
+    with open_text_write(path) as fh:
+        try:
+            for worker in range(workers):
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    inherited = [read_fd] + [reader.fileno() for _, reader in children]
+                    _serve(pairs_for, line, worker, workers, write_fd, inherited,
+                           cpu_sets[worker])
                 os.close(write_fd)
-                raise
-            if pid == 0:
-                inherited = [read_fd] + [reader.fileno() for _, reader in children]
-                _serve(pairs_for, line, worker, workers, write_fd, inherited,
-                       cpu_sets[worker])
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
+                children.append((pid, os.fdopen(read_fd, "rb")))
 
-        written = 0
-        with open_text_write(path) as fh:
             for block in itertools.count():
                 pid, reader = children[block % workers]
                 frame = _receive(reader)
@@ -118,17 +119,17 @@ def write_sharded(
                         f"mask worker {pid} exited before sending block {block}")
                 records, text = frame
                 fh.write(text)
-                written += records
                 if records < B:
-                    return written
-    finally:
-        for _, reader in children:
-            reader.close()
-        for pid, _ in children:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
+                    # Every earlier block held B records.
+                    return block * B + records
+        finally:
+            for _, reader in children:
+                reader.close()
+            for pid, _ in children:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
 
 
 def _cpu_sets(threads: int) -> list[set[int]]:
@@ -139,10 +140,6 @@ def _cpu_sets(threads: int) -> list[set[int]]:
     workers = min(threads, len(cpus) or os.cpu_count() or 1)
     pin = cpus and hasattr(os, "sched_setaffinity")
     return [set(cpus[worker::workers]) if pin else set() for worker in range(workers)]
-
-
-def _owner(worker: int, workers: int) -> Callable[[int], bool]:
-    return lambda index: index // B % workers == worker
 
 
 def _block_lines(pairs: Pairs, line: Line) -> list[str]:
@@ -164,7 +161,7 @@ def _serve(pairs_for, line: Line, worker: int, workers: int, write_fd: int,
             with contextlib.suppress(OSError):  # best effort: run unpinned
                 os.sched_setaffinity(0, cpus)
         with os.fdopen(write_fd, "wb") as out:
-            pairs = pairs_for(_owner(worker, workers))
+            pairs = pairs_for(lambda index: index // B % workers == worker)
             while True:
                 lines = _block_lines(pairs, line)
                 data = "".join(lines).encode("utf-8")

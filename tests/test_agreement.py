@@ -1,0 +1,104 @@
+"""`analyze` masks each record exactly as `mask` does.
+
+``test_golden.py`` pins each command's output on its own; here the
+``dist``, ``pos`` and ``slots`` CSVs are rebuilt from ``mask``'s outputs
+with the ``analysis`` writers and must equal ``analyze``'s bytes. The
+built-in tagger tags each word on its own, so the tags of the kept words
+are ``tag(kept)``.
+"""
+
+import io
+import random
+from collections import Counter
+
+import pytest
+
+from textmask import analysis
+from textmask.cli import main
+from textmask.corpus_io import read_corpus
+from textmask.maskers import STRATEGIES, MaskedOutput
+from textmask.postag import CATEGORIES, DEFAULT_LEXICON, tag
+from textmask.tokenizer import tokenize
+
+K = 5
+MASKING = ["--k", str(K), "--seed", "3", "--epoch", "2"]
+TOP_N = 12
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """The corpus, its frequency table and each strategy's mask output."""
+    tmp = tmp_path_factory.mktemp("agreement")
+    rng = random.Random(5)
+    vocab = ["a", "the", "on", "with", "dog", "cat", "mat", "beach", "red", "famous",
+             "colorful", "runs", "sleeping", "jumped", "is", ",", ".", "!", "dog's", "(big)"]
+    lines = [" ".join(rng.choices(vocab, k=rng.randint(1, 14))) for _ in range(300)]
+    lines[117] = ""
+    corpus = tmp / "c.txt"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = tmp / "c.freq"
+    assert main(["freq", "--input", str(corpus), "--output", str(table)]) == 0
+    common = ["--input", str(corpus), "--freq-table", str(table), *MASKING]
+    outputs = {}
+    for strategy in STRATEGIES:
+        out = tmp / f"{strategy}.txt"
+        assert main(["mask", "--strategy", strategy, *common, "--output", str(out)]) == 0
+        outputs[strategy] = out.read_text(encoding="utf-8").split("\n")[:-1]
+    return tmp, common, outputs
+
+
+def analyze(tmp, common, report, *extra):
+    out = tmp / f"{report}.csv"
+    assert main(["analyze", report, *common, *extra, "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+def rebuilt(tmp, outputs, write):
+    """The CSV bytes of ``write(before, kept, fh)``: ``before`` holds each
+    input record's tokens, ``kept`` each strategy's kept words per record."""
+    before = [tokenize(record.text) for record in read_corpus(str(tmp / "c.txt"))]
+    kept = {s: [line.split() for line in lines] for s, lines in outputs.items()}
+    assert all(len(lines) == len(before) for lines in kept.values())
+    fh = io.StringIO()
+    write(before, kept, fh)
+    return fh.getvalue().encode("utf-8")
+
+
+def masked(before, kept):
+    return [MaskedOutput(words, [], len(tokens)) for tokens, words in zip(before, kept)]
+
+
+def test_dist_agrees_with_mask(runs):
+    tmp, common, outputs = runs
+
+    def write(before, kept, fh):
+        report = analysis.distribution_report(
+            before, {s: masked(before, words) for s, words in kept.items()}, TOP_N)
+        analysis.write_distribution_csv(report, fh)
+
+    assert analyze(tmp, common, "dist", "--top-n", str(TOP_N)) == rebuilt(tmp, outputs, write)
+
+
+def test_pos_agrees_with_mask(runs):
+    tmp, common, outputs = runs
+
+    def counts(word_lists):
+        tags = Counter(t for words in word_lists for t in tag(words, DEFAULT_LEXICON))
+        return {category: tags[category] for category in CATEGORIES}
+
+    def write(before, kept, fh):
+        rows = [analysis.PosShareRow("before", counts(before))]
+        rows += [analysis.PosShareRow(s, counts(words)) for s, words in kept.items()]
+        analysis.write_pos_csv(analysis.PosShareReport(rows), fh)
+
+    assert analyze(tmp, common, "pos") == rebuilt(tmp, outputs, write)
+
+
+def test_slots_agrees_with_mask(runs):
+    tmp, common, outputs = runs
+
+    def write(before, kept, fh):
+        analysis.write_slots_csv({s: analysis.slot_utilization(masked(before, words), K)
+                                  for s, words in kept.items()}, fh)
+
+    assert analyze(tmp, common, "slots") == rebuilt(tmp, outputs, write)

@@ -282,6 +282,17 @@ def test_worker_that_dies_fails_the_run(tmp_path, capsys, corpus, cpus, monkeypa
     assert_no_children()
 
 
+def test_unwritable_output_forks_nothing(tmp_path, capsys, corpus, cpus, forks):
+    """The output is opened before any worker starts, as in one process."""
+    out = tmp_path / "missing" / "m.txt"
+    code, stdout, err = mask(capsys, corpus, "random", out, 2)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.freq", "c.tsv"]
+    assert forks == []
+    assert_no_children()
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_bad_gzip_trailer_reported_like_one_process(tmp_path, capsys, cpus, workers):
     """A gzip CRC error is raised at the end of the input, by whichever
