@@ -19,10 +19,10 @@ import csv
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record
 from .maskers import MaskedOutput, _check_k
 from .postag import CATEGORIES
 from .tokenizer import is_special_token
@@ -44,18 +44,22 @@ def round_half_up(x: float, ndigits: int = 2) -> float:
 # --- word-frequency distribution --------------------------------------------
 
 
-@dataclass
-class DistributionRow:
-    rank: int
-    word: str
-    before: int
-    after: dict[str, int]
+class DistributionRow(Record):
+    __slots__ = __match_args__ = ("rank", "word", "before", "after")
+
+    def __init__(self, rank: int, word: str, before: int, after: dict[str, int]) -> None:
+        self.rank = rank
+        self.word = word
+        self.before = before
+        self.after = after
 
 
-@dataclass
-class DistributionReport:
-    strategies: list[str]
-    rows: list[DistributionRow]
+class DistributionReport(Record):
+    __slots__ = __match_args__ = ("strategies", "rows")
+
+    def __init__(self, strategies: list[str], rows: list[DistributionRow]) -> None:
+        self.strategies = strategies
+        self.rows = rows
 
 
 def distribution_report(
@@ -124,10 +128,12 @@ def write_distribution_csv(report: DistributionReport, fh: IO[str]) -> None:
 # --- POS-category shares -----------------------------------------------------
 
 
-@dataclass
-class PosShareRow:
-    label: str
-    counts: dict[str, int]
+class PosShareRow(Record):
+    __slots__ = __match_args__ = ("label", "counts")
+
+    def __init__(self, label: str, counts: dict[str, int]) -> None:
+        self.label = label
+        self.counts = counts
 
     @property
     def total(self) -> int:
@@ -138,9 +144,11 @@ class PosShareRow:
         return 100.0 * self.counts.get(category, 0) / total if total else 0.0
 
 
-@dataclass
-class PosShareReport:
-    rows: list[PosShareRow]
+class PosShareReport(Record):
+    __slots__ = __match_args__ = ("rows",)
+
+    def __init__(self, rows: list[PosShareRow]) -> None:
+        self.rows = rows
 
     def row(self, label: str) -> PosShareRow:
         for row in self.rows:
@@ -189,12 +197,14 @@ def write_pos_csv(report: PosShareReport, fh: IO[str]) -> None:
 # --- token budget ------------------------------------------------------------
 
 
-@dataclass
-class TokenBudget:
-    image_tokens: int
-    text_tokens: int
-    total: int
-    percentage: float  # of the unmasked baseline, full precision
+class TokenBudget(Record):
+    __slots__ = __match_args__ = ("image_tokens", "text_tokens", "total", "percentage")
+
+    def __init__(self, image_tokens: int, text_tokens: int, total: int, percentage: float) -> None:
+        self.image_tokens = image_tokens
+        self.text_tokens = text_tokens
+        self.total = total
+        self.percentage = percentage  # of the unmasked baseline, full precision
 
 
 def token_budget(
@@ -244,12 +254,15 @@ def write_budget_csv(budgets: Sequence[TokenBudget], fh: IO[str]) -> None:
 # --- corpus statistics -------------------------------------------------------
 
 
-@dataclass
-class CorpusStats:
-    sample_count: int
-    total_words: int
-    mean_length: float
-    std_length: float  # population standard deviation
+class CorpusStats(Record):
+    __slots__ = __match_args__ = ("sample_count", "total_words", "mean_length", "std_length")
+
+    def __init__(self, sample_count: int, total_words: int, mean_length: float,
+                 std_length: float) -> None:
+        self.sample_count = sample_count
+        self.total_words = total_words
+        self.mean_length = mean_length
+        self.std_length = std_length  # population standard deviation
 
 
 def corpus_stats(corpus) -> CorpusStats:

@@ -25,8 +25,9 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
+
+from ._record import Record
 
 if TYPE_CHECKING:
     from .maskers import MaskedOutput
@@ -34,11 +35,13 @@ if TYPE_CHECKING:
 FORMATS = ("plain", "tsv", "jsonl")
 
 
-@dataclass
-class CaptionRecord:
-    index: int
-    id: str
-    text: str
+class CaptionRecord(Record):
+    __slots__ = __match_args__ = ("index", "id", "text")
+
+    def __init__(self, index: int, id: str, text: str) -> None:
+        self.index = index
+        self.id = id
+        self.text = text
 
 
 # gzip and json are imported only by the code that needs them, so a plain

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
+from ._record import Record
 from .corpus_io import open_text_write, read_lines
 
 DEFAULT_THRESHOLD = 1e-6
@@ -33,23 +33,35 @@ def validate_threshold(t: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(Record):
     """Word -> occurrence count map over a corpus. Frozen after build.
 
     ``total`` is the total token count, so ``counts[w] / total`` is the
     relative frequency of ``w``. Every stored count is >= 1.
 
-    The fields cannot be reassigned, and ``counts`` must not be mutated in
-    place either: the probability maps cached by ``probabilities`` are
-    derived from it and would go stale.
+    The fields cannot be reassigned (AttributeError), and ``counts`` must
+    not be mutated in place either: the probability maps cached by
+    ``probabilities`` are derived from it and would go stale. The cache is
+    left out of ``==``, ``repr`` and pickles.
     """
 
-    counts: dict[str, int] = field(default_factory=dict)
-    total: int = 0
-    _probabilities: dict[float, dict[int, float]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    __slots__ = ("counts", "total", "_probabilities")
+    __match_args__ = ("counts", "total")
+
+    def __init__(self, counts: dict[str, int] | None = None, total: int = 0) -> None:
+        init = object.__setattr__
+        init(self, "counts", {} if counts is None else counts)
+        init(self, "total", total)
+        init(self, "_probabilities", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.counts, self.total)
 
     def __contains__(self, word: str) -> bool:
         return word in self.counts

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .freq import DEFAULT_THRESHOLD, FrequencyTable, mask_probabilities, validate_threshold
 from .postag import CATEGORIES
 
@@ -68,40 +68,53 @@ def record_seed(seed: int, index: int, epoch: int = 0) -> int:
     return h
 
 
-@dataclass
-class MaskedOutput:
+class MaskedOutput(Record):
     """Retained tokens in original order plus their source positions."""
 
-    kept: list[str]
-    kept_indices: list[int]
-    source_length: int
+    __slots__ = __match_args__ = ("kept", "kept_indices", "source_length")
+
+    def __init__(self, kept: list[str], kept_indices: list[int], source_length: int) -> None:
+        self.kept = kept
+        self.kept_indices = kept_indices
+        self.source_length = source_length
 
     def text(self) -> str:
         return " ".join(self.kept)
 
 
-@dataclass
-class MaskingConfig:
+class MaskingConfig(Record):
     """Run-level masking parameters shared by every record of a corpus pass.
 
     ``seed`` and ``epoch`` reach a record only through ``record_seed``, as in
     the README's library example: ``apply_mask(tokens, config)`` on its own
-    uses ``config.seed`` and ignores ``epoch``."""
+    uses ``config.seed`` and ignores ``epoch``. The defaults are readable on
+    the class (``MaskingConfig.k``), so this class has no ``__slots__``."""
 
-    strategy: str
+    __match_args__ = ("strategy", "k", "t", "seed", "epoch", "freq_table")
     k: int = 8
     t: float = DEFAULT_THRESHOLD
     seed: int = 0
     epoch: int = 0
     freq_table: FrequencyTable | None = None
 
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        _check_k(self.k)
-        validate_threshold(self.t)
-        if self.strategy in FREQUENCY_STRATEGIES and self.freq_table is None:
-            raise ValueError(f"strategy {self.strategy!r} requires a frequency table")
+    def __init__(self, strategy: str, k: int = k, t: float = t, seed: int = seed,
+                 epoch: int = epoch, freq_table: FrequencyTable | None = freq_table) -> None:
+        if strategy not in STRATEGIES:
+            raise _unknown_strategy(strategy)
+        _check_k(k)
+        validate_threshold(t)
+        if strategy in FREQUENCY_STRATEGIES and freq_table is None:
+            raise ValueError(f"strategy {strategy!r} requires a frequency table")
+        self.strategy = strategy
+        self.k = k
+        self.t = t
+        self.seed = seed
+        self.epoch = epoch
+        self.freq_table = freq_table
+
+
+def _unknown_strategy(strategy: str) -> ValueError:
+    return ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
 def _check_k(k: int) -> None:
@@ -237,5 +250,7 @@ def apply_mask(
         return mask_syntax(tokens, tags, config.k)
     if strategy == "frequency":
         return mask_frequency(tokens, config.freq_table, config.t, config.k, seed)
-    assert strategy == "swclip"
-    return mask_swclip(tokens, config.freq_table, config.t, config.k, seed)
+    if strategy == "swclip":
+        return mask_swclip(tokens, config.freq_table, config.t, config.k, seed)
+    # Reached only when ``config.strategy`` was reassigned after construction.
+    raise _unknown_strategy(strategy)

@@ -8,7 +8,6 @@ kept as its own standalone token ("dog." -> ["dog", "."]).
 from __future__ import annotations
 
 import re
-import unicodedata
 from functools import lru_cache
 
 # The ASCII characters of categories P* and S* are exactly
@@ -19,7 +18,10 @@ _ASCII_RUNS = re.compile(r"[!-/:-@\[-`{-~]+|[^!-/:-@\[-`{-~]+")
 
 @lru_cache(maxsize=4096)
 def _is_special_char(ch: str) -> bool:
-    # Unicode punctuation (P*) and symbol (S*) categories.
+    # Unicode punctuation (P*) and symbol (S*) categories. Imported here, on
+    # a cache miss, so a corpus that never leaves the ASCII paths skips it.
+    import unicodedata
+
     return unicodedata.category(ch)[0] in ("P", "S")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import random
 
@@ -158,9 +157,9 @@ class TestMaskProbability:
 class TestFrozenTable:
     def test_fields_cannot_be_reassigned(self):
         table = build_frequency_table([["a", "b", "a"]])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             table.total = 4
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             table.counts = {}
         assert table.total == 3
 

@@ -346,6 +346,15 @@ class TestApplyMask:
         with pytest.raises(ValueError, match="frequency table"):
             MaskingConfig("frequency")
 
+    def test_strategy_reassigned_to_unknown_name(self):
+        config = MaskingConfig("truncation", k=1, freq_table=self.table())
+        config.strategy = "bogus"
+        with pytest.raises(ValueError) as raised:
+            apply_mask(["a", "b"], config)
+        with pytest.raises(ValueError) as at_construction:
+            MaskingConfig("bogus")
+        assert str(raised.value) == str(at_construction.value)
+
     def test_epoch_changes_stochastic_output_only(self):
         tokens = [f"t{i}" for i in range(40)]
         tags = (["NN", "JJ", "VB", "OTHER"] * 10)[:40]

@@ -1,9 +1,20 @@
 """What a command imports, each run in a fresh interpreter.
 
-``mask`` and ``freq`` on a plain corpus load neither the report code nor
-the JSON and gzip modules; those load on first use. Every module that
-``python -c pass`` already loads is subtracted, since ``site`` differs
-between hosts.
+Every command the benchmark runs is guarded: ``mask`` with ``frequency``,
+``swclip`` and ``syntax``, ``freq`` and a ``syntax`` mask on ``.jsonl.gz``,
+``analyze dist | pos | slots``, a sharded ``mask``, and ``import textmask``
+itself. Of the ``UNUSED`` modules, each loads exactly the ones its work
+needs: the report code with ``csv`` and ``decimal`` for ``analyze``, JSON
+and gzip for ``.jsonl.gz``, ``shard`` for ``--threads``, and
+``unicodedata`` only where a punctuation token is tagged or filtered out,
+or a caption holds non-ASCII text that is not all letters and digits.
+None of them loads ``dataclasses`` or ``inspect``.
+
+Every module that ``python -c pass`` already loads is subtracted, since
+``site`` differs between hosts. For a command, so is every module that a
+bare ``argparse`` parse loads: the guard is on textmask's imports, and
+argparse's colour support in Python 3.14 may import ``dataclasses``
+through ``_colorize``.
 """
 
 import gzip
@@ -17,8 +28,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Modules a plain-corpus, one-process mask or freq run has no use for.
-UNUSED = {"textmask.analysis", "textmask.shard", "csv", "decimal", "json", "gzip"}
+# Modules that a plain-corpus, one-process mask or freq run has no use for.
+UNUSED = {"textmask.analysis", "textmask.shard", "csv", "decimal", "json", "gzip",
+          "dataclasses", "inspect", "unicodedata"}
+# Every report strips or tags the corpus's "." token, which needs unicodedata.
+ANALYZE = {"textmask.analysis", "csv", "decimal", "unicodedata"}
+JSONL_GZ = {"json", "gzip", "unicodedata"}
 
 PROBE = "import sys\n{body}\nsys.stdout.write('\\0' + '\\n'.join(sys.modules))\n"
 
@@ -40,27 +55,53 @@ def startup(tmp_path_factory):
     return fresh("pass", tmp_path_factory.mktemp("startup"))[1]
 
 
+@pytest.fixture(scope="module")
+def parsed(tmp_path_factory):
+    """The modules a bare interpreter loads to parse an empty command line."""
+    return fresh("import argparse\nargparse.ArgumentParser().parse_args([])",
+                 tmp_path_factory.mktemp("parsed"))[1]
+
+
 def cli(*argv):
     return f"from textmask.cli import main\nassert main({list(argv)!r}) == 0"
 
 
 @pytest.fixture
 def corpus(tmp_path):
-    (tmp_path / "c.txt").write_text("a big dog runs\nthe cat sleeps\n\n", encoding="utf-8")
+    (tmp_path / "c.txt").write_text("a big dog runs.\nthe cat sleeps\n\n", encoding="utf-8")
     (tmp_path / "t.freq").write_text("#total 6\ndog\t3\ncat\t2\na\t1\n", encoding="utf-8")
+    with gzip.open(tmp_path / "c.jsonl.gz", "wt", encoding="utf-8") as fh:
+        fh.write('{"id": "a", "caption": "a \\"big\\" dog"}\n{"caption": "the caf\u00e9, open"}\n')
     return tmp_path
 
 
-@pytest.mark.parametrize("argv", [
-    ("mask", "--input", "c.txt", "--strategy", "frequency", "--freq-table", "t.freq",
-     "--output", "m.txt", "--threads", "1"),
-    ("mask", "--input", "c.txt", "--strategy", "syntax", "--output", "m.txt", "--threads", "1"),
-    ("freq", "--input", "c.txt", "--output", "m.txt"),
-], ids=["mask-frequency", "mask-syntax", "freq"])
-def test_plain_corpus_loads_nothing_unused(corpus, startup, argv):
+def mask(strategy, *extra, corpus="c.txt", output="m.txt"):
+    return ("mask", "--input", corpus, "--strategy", strategy, *extra, "--output", output)
+
+
+def analyze(report):
+    return ("analyze", report, "--input", "c.txt", "--strategies",
+            "truncation,random,block,syntax,frequency,swclip", "--output", f"{report}.csv")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (mask("frequency", "--freq-table", "t.freq", "--threads", "1"), set()),
+    (mask("swclip", "--freq-table", "t.freq"), set()),
+    (mask("syntax", "--threads", "1"), {"unicodedata"}),
+    (("freq", "--input", "c.txt", "--output", "m.txt"), set()),
+    (("freq", "--input", "c.jsonl.gz", "--format", "jsonl", "--output", "m.freq"), JSONL_GZ),
+    (mask("syntax", "--format", "jsonl", corpus="c.jsonl.gz", output="m.jsonl.gz"), JSONL_GZ),
+    (analyze("dist"), ANALYZE),
+    (analyze("pos"), ANALYZE),
+    (analyze("slots"), ANALYZE),
+    (mask("frequency", "--freq-table", "t.freq", "--threads", "2"), {"textmask.shard"}),
+], ids=["mask-frequency", "mask-swclip", "mask-syntax", "freq", "freq-jsonl-gz",
+        "mask-syntax-jsonl-gz", "analyze-dist", "analyze-pos", "analyze-slots",
+        "mask-frequency-threads"])
+def test_command_loads_only_what_it_needs(corpus, parsed, argv, loaded):
     out, modules = fresh(cli(*argv), corpus)
-    assert out.startswith(("masked 3 captions", "wrote "))
-    assert (modules - startup) & UNUSED == set()
+    assert out.endswith(f" {argv[-1]}\n")
+    assert (modules - parsed) & UNUSED == loaded
     assert "textmask.cli" in modules
 
 
