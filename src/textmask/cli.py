@@ -5,8 +5,8 @@ Subcommands:
     mask       apply one masking strategy to a corpus
     demo       print every strategy's output for a single caption, plus
                per-word masking probabilities
-    analyze    dist | pos | budget | stats | slots reports (table to stdout,
-               CSV to --output)
+    analyze    dist | pos | budget | stats | slots reports: the report's CSV,
+               printed as aligned columns and written to --output
 
 ``mask --threads N`` writes byte-identical output for any N; ``shard``
 decides how many processes mask, and on which CPUs.
@@ -15,8 +15,9 @@ decides how many processes mask, and on which CPUs.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus_io import FORMATS, CaptionRecord, open_text_write, read_corpus, write_masked
 from .freq import (
@@ -328,20 +329,23 @@ def _analyze_corpus(args: argparse.Namespace):
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.output:
-        _report(args)
+        _print_table(_report_csv(args))
         return 0
     # Opened before any input is read, as ``mask`` opens it.
     with open_text_write(args.output) as fh:
-        _report(args)(fh)
+        text = _report_csv(args)
+        fh.write(text)
+    _print_table(text)
     print(f"wrote {args.output}")
     return 0
 
 
-def _report(args: argparse.Namespace) -> Callable[[IO[str]], None]:
-    """Print ``args.report``'s table and return the writer of its CSV."""
+def _report_csv(args: argparse.Namespace) -> str:
+    """``args.report`` as the CSV text that its ``analysis.write_*_csv`` writes."""
     # Imported here, so the other commands never load the report code.
     from . import analysis
 
+    fh = io.StringIO()
     if args.report == "budget":
         patches = (analysis.BASELINE_IMAGE_PATCHES if args.image_patches is None
                    else args.image_patches)
@@ -353,49 +357,34 @@ def _report(args: argparse.Namespace) -> Callable[[IO[str]], None]:
             budgets = [analysis.token_budget(ratio, keep, patches, context)]
         else:
             budgets = analysis.standard_budget_table(patches, context)
-        print(f"{'image':>6} {'text':>5} {'total':>6} {'pct':>7}")
-        for b in budgets:
-            print(f"{b.image_tokens:>6} {b.text_tokens:>5} {b.total:>6} "
-                  f"{analysis.round_half_up(b.percentage):>6.2f}%")
-        return lambda fh: analysis.write_budget_csv(budgets, fh)
+        analysis.write_budget_csv(budgets, fh)
+    elif args.report == "stats":
+        analysis.write_stats_csv(
+            analysis.corpus_stats(tokens for _, tokens, _ in _prepared(args)), fh)
+    else:
+        prepared, masked = _analyze_corpus(args)
+        if args.report == "dist":
+            analysis.write_distribution_csv(analysis.distribution_report(
+                [tokens for tokens, _ in prepared], masked, args.top_n), fh)
+        elif args.report == "pos":
+            analysis.write_pos_csv(
+                analysis.pos_share_report([tags for _, tags in prepared], masked), fh)
+        else:
+            assert args.report == "slots"
+            analysis.write_slots_csv(
+                {s: analysis.slot_utilization(outputs, args.k) for s, outputs in masked.items()},
+                fh)
+    return fh.getvalue()
 
-    if args.report == "stats":
-        stats = analysis.corpus_stats(tokens for _, tokens, _ in _prepared(args))
-        print(f"samples      {stats.sample_count}")
-        print(f"total words  {stats.total_words}")
-        print(f"mean length  {stats.mean_length:.4f}")
-        print(f"std length   {stats.std_length:.4f}")
-        return lambda fh: analysis.write_stats_csv(stats, fh)
 
-    prepared, masked = _analyze_corpus(args)
+def _print_table(text: str) -> None:
+    """Print CSV ``text`` one row a line, each cell padded to its column's widest."""
+    import csv
 
-    if args.report == "dist":
-        report = analysis.distribution_report([tokens for tokens, _ in prepared], masked,
-                                              args.top_n)
-        width = max((len(r.word) for r in report.rows), default=4)
-        header = f"{'rank':>4} {'word':<{width}} {'before':>8} " + " ".join(
-            f"{s:>10}" for s in report.strategies)
-        print(header)
-        for row in report.rows:
-            cells = " ".join(f"{row.after[s]:>10}" for s in report.strategies)
-            print(f"{row.rank:>4} {row.word:<{width}} {row.before:>8} {cells}")
-        return lambda fh: analysis.write_distribution_csv(report, fh)
-
-    if args.report == "pos":
-        report = analysis.pos_share_report([tags for _, tags in prepared], masked)
-        print(f"{'strategy':<12} " + " ".join(f"{c:>8}" for c in analysis.CATEGORIES)
-              + f" {'total':>10}")
-        for row in report.rows:
-            shares = " ".join(
-                f"{analysis.round_half_up(row.percentage(c)):>7.2f}%" for c in analysis.CATEGORIES)
-            print(f"{row.label:<12} {shares} {row.total:>10}")
-        return lambda fh: analysis.write_pos_csv(report, fh)
-
-    assert args.report == "slots"
-    utilization = {s: analysis.slot_utilization(outputs, args.k) for s, outputs in masked.items()}
-    for strategy, value in utilization.items():
-        print(f"{strategy:<12} {value:.6f}")
-    return lambda fh: analysis.write_slots_csv(utilization, fh)
+    rows = list(csv.reader(io.StringIO(text)))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print("  ".join([cell.ljust(width) for cell, width in zip(row, widths)]).rstrip())
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -103,8 +103,7 @@ class MaskingConfig(Record):
             raise _unknown_strategy(strategy)
         _check_k(k)
         validate_threshold(t)
-        if strategy in FREQUENCY_STRATEGIES and freq_table is None:
-            raise ValueError(f"strategy {strategy!r} requires a frequency table")
+        _check_table(strategy, freq_table)
         self.strategy = strategy
         self.k = k
         self.t = t
@@ -120,6 +119,11 @@ def _unknown_strategy(strategy: str) -> ValueError:
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"keep-length k must be >= 1, got {k}")
+
+
+def _check_table(strategy: str, table: FrequencyTable | None) -> None:
+    if table is None and strategy in FREQUENCY_STRATEGIES:
+        raise ValueError(f"strategy {strategy!r} requires a frequency table")
 
 
 def _select(tokens: Sequence[str], indices: list[int]) -> MaskedOutput:
@@ -193,6 +197,7 @@ def mask_frequency(
     input slot is used.
     """
     _check_k(k)
+    _check_table("frequency", table)
     probs = mask_probabilities(tokens, table, t)
     n = len(tokens)
     if n <= k:
@@ -218,6 +223,7 @@ def mask_swclip(
     input slots, unlike every other strategy here.
     """
     _check_k(k)
+    _check_table("swclip", table)
     rand = random.Random(seed).random
     kept = [i for i, p in enumerate(mask_probabilities(tokens, table, t)) if rand() >= p]
     return _select(tokens, kept[:k])

@@ -13,7 +13,9 @@ from functools import lru_cache
 # The ASCII characters of categories P* and S* are exactly
 # string.punctuation: ranges !-/ :-@ [-` {-~. An ASCII chunk splits into
 # maximal runs of them and of everything else in one findall.
-_ASCII_RUNS = re.compile(r"[!-/:-@\[-`{-~]+|[^!-/:-@\[-`{-~]+")
+_ASCII_PS = r"!-/:-@\[-`{-~"
+_ASCII_RUNS = re.compile(f"[{_ASCII_PS}]+|[^{_ASCII_PS}]+")
+_ASCII_SPECIAL = re.compile(f"[{_ASCII_PS}]+")
 
 
 @lru_cache(maxsize=4096)
@@ -56,7 +58,7 @@ def tokenize(text: str) -> list[str]:
 
 def is_special_token(token: str) -> bool:
     """True if ``token`` consists entirely of punctuation/symbol characters."""
-    if token.isalnum():
-        # No letter or digit is in a P* or S* category.
-        return False
-    return bool(token) and all(_is_special_char(ch) for ch in token)
+    if token.isascii():
+        return _ASCII_SPECIAL.fullmatch(token) is not None
+    # No letter or digit is in a P* or S* category.
+    return not token.isalnum() and all(_is_special_char(ch) for ch in token)

@@ -1,7 +1,9 @@
+import csv
 import gzip
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -236,7 +238,8 @@ class TestAnalyzeBudget:
         code, out, _ = run(capsys, "analyze", "budget",
                            "--image-mask-ratio", "0.5", "--text-keep", "16")
         assert code == 0
-        assert "98    16    114" in out
+        assert [line.split() for line in out.splitlines()] == [
+            ["image_tokens", "text_tokens", "total", "percentage"], ["98", "16", "114", "50.00"]]
 
     @pytest.mark.parametrize("patches", ["-228", "-10"])
     def test_negative_image_patches_fails(self, tmp_path, capsys, patches):
@@ -260,7 +263,7 @@ class TestAnalyzeBudget:
     def test_single_row_short_context_still_works(self, capsys):
         code, out, _ = run(capsys, "analyze", "budget", "--text-keep", "8",
                            "--text-context", "16")
-        assert code == 0 and "49     8     57" in out
+        assert code == 0 and out.splitlines()[1].split() == ["49", "8", "57", "26.89"]
 
 
 class TestAnalyzeStats:
@@ -270,8 +273,9 @@ class TestAnalyzeStats:
         code, out, _ = run(capsys, "analyze", "stats", "--input", corpus,
                            "--output", csv_path)
         assert code == 0
-        assert "mean length  3.0000" in out
-        assert "std length   1.0000" in out
+        assert [line.split() for line in out.splitlines()[:2]] == [
+            ["sample_count", "total_words", "mean_length", "std_length"],
+            ["2", "6", "3.000000", "1.000000"]]
         lines = Path(csv_path).read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "sample_count,total_words,mean_length,std_length"
         assert lines[1] == "2,6,3.000000,1.000000"
@@ -354,6 +358,46 @@ class TestAnalyzeSlots:
         assert values["random"] == 1.0
         assert values["frequency"] == 1.0
         assert values["swclip"] < 1.0
+
+
+class TestAnalyzeStdoutIsTheCsv:
+    """Each report's stdout is its CSV: one line a row, the cells in order,
+    each column starting at the same place on every line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--pretagged", "--k", "3", "--top-n", "6"),
+        ("pos", "--pretagged", "--k", "3"),
+        ("slots", "--pretagged", "--k", "3"),
+        ("stats", "--pretagged"),
+        ("budget",),
+        ("budget", "--image-mask-ratio", "0.5", "--text-keep", "16"),
+    ], ids=["dist", "pos", "slots", "stats", "budget-sweep", "budget-single-row"])
+    def test_stdout_matches_csv(self, tmp_path, capsys, argv):
+        # "a,b" is a word with a comma in it, so its CSV cell is quoted.
+        corpus = write_corpus(tmp_path / "c.txt", [
+            "the/DT a,b/NN dog/NN runs/VB fast/RB ./.",
+            "a,b/NN big/JJ a,b/NN cat/NN naps/VB",
+        ])
+        args = ["analyze", *argv]
+        if argv[0] != "budget":
+            args[2:2] = ["--input", corpus]
+        csv_path = tmp_path / "r.csv"
+        code, table, _ = run(capsys, *args)
+        assert code == 0
+        code, out, _ = run(capsys, *args, "--output", str(csv_path))
+        assert code == 0
+        assert out == f"{table}wrote {csv_path}\n"
+
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        lines = table.splitlines()
+        assert [line.split() for line in lines] == rows
+        if argv[0] == "dist":
+            assert '"a,b"' in csv_path.read_text(encoding="utf-8")
+            assert ["1", "a,b"] == rows[1][:2]
+        starts = [[m.start() for m in re.finditer(r"\S+", line)] for line in lines]
+        assert all(s == starts[0] for s in starts)
+        assert not any(line.endswith(" ") for line in lines)
 
 
 class TestErrorHandling:
@@ -774,7 +818,8 @@ class TestModuleEntrypoint:
     def test_success_exits_zero(self, tmp_path):
         result = self.textmask(tmp_path, "analyze", "budget")
         assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout.splitlines()[0].split() == ["image", "text", "total", "pct"]
+        assert result.stdout.splitlines()[0].split() == [
+            "image_tokens", "text_tokens", "total", "percentage"]
 
     def test_missing_input_file_exits_one(self, tmp_path):
         result = self.textmask(tmp_path, "freq", "--input", "nope.txt", "--output", "t.freq")

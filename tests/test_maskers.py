@@ -355,6 +355,26 @@ class TestApplyMask:
             MaskingConfig("bogus")
         assert str(raised.value) == str(at_construction.value)
 
+    @pytest.mark.parametrize("strategy", ["frequency", "swclip"])
+    def test_strategy_reassigned_to_one_without_a_table(self, strategy):
+        config = MaskingConfig("random", k=1)
+        config.strategy = strategy
+        with pytest.raises(ValueError) as raised:
+            apply_mask(["a", "b"], config)
+        with pytest.raises(ValueError) as at_construction:
+            MaskingConfig(strategy)
+        assert str(raised.value) == str(at_construction.value)
+        assert str(raised.value) == f"strategy {strategy!r} requires a frequency table"
+
+    @pytest.mark.parametrize("strategy,masker", [("frequency", mask_frequency),
+                                                 ("swclip", mask_swclip)])
+    def test_masker_without_a_table(self, strategy, masker):
+        with pytest.raises(ValueError) as raised:
+            masker(["a", "b"], None, 1e-2, 1, 5)
+        with pytest.raises(ValueError) as at_construction:
+            MaskingConfig(strategy)
+        assert str(raised.value) == str(at_construction.value)
+
     def test_epoch_changes_stochastic_output_only(self):
         tokens = [f"t{i}" for i in range(40)]
         tags = (["NN", "JJ", "VB", "OTHER"] * 10)[:40]

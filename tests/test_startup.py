@@ -6,8 +6,9 @@ Every command the benchmark runs is guarded: ``mask`` with ``frequency``,
 itself. Of the ``UNUSED`` modules, each loads exactly the ones its work
 needs: the report code with ``csv`` and ``decimal`` for ``analyze``, JSON
 and gzip for ``.jsonl.gz``, ``shard`` for ``--threads``, and
-``unicodedata`` only where a punctuation token is tagged or filtered out,
-or a caption holds non-ASCII text that is not all letters and digits.
+``unicodedata`` only where a caption holds non-ASCII text that is not all
+letters and digits: ASCII punctuation is split, tagged and filtered out
+without it.
 None of them loads ``dataclasses`` or ``inspect``.
 
 Every module that ``python -c pass`` already loads is subtracted, since
@@ -31,8 +32,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Modules that a plain-corpus, one-process mask or freq run has no use for.
 UNUSED = {"textmask.analysis", "textmask.shard", "csv", "decimal", "json", "gzip",
           "dataclasses", "inspect", "unicodedata"}
-# Every report strips or tags the corpus's "." token, which needs unicodedata.
-ANALYZE = {"textmask.analysis", "csv", "decimal", "unicodedata"}
+ANALYZE = {"textmask.analysis", "csv", "decimal"}
 JSONL_GZ = {"json", "gzip", "unicodedata"}
 
 PROBE = "import sys\n{body}\nsys.stdout.write('\\0' + '\\n'.join(sys.modules))\n"
@@ -87,7 +87,7 @@ def analyze(report):
 @pytest.mark.parametrize("argv,loaded", [
     (mask("frequency", "--freq-table", "t.freq", "--threads", "1"), set()),
     (mask("swclip", "--freq-table", "t.freq"), set()),
-    (mask("syntax", "--threads", "1"), {"unicodedata"}),
+    (mask("syntax", "--threads", "1"), set()),
     (("freq", "--input", "c.txt", "--output", "m.txt"), set()),
     (("freq", "--input", "c.jsonl.gz", "--format", "jsonl", "--output", "m.freq"), JSONL_GZ),
     (mask("syntax", "--format", "jsonl", corpus="c.jsonl.gz", output="m.jsonl.gz"), JSONL_GZ),

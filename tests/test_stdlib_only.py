@@ -32,4 +32,4 @@ def test_src_runs_without_site_packages(tmp_path):
     result = subprocess.run([sys.executable, "-S", "-c", PROBE], cwd=tmp_path, env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[1].split() == ["196", "32", "228", "100.00%"]
+    assert result.stdout.splitlines()[1].split() == ["196", "32", "228", "100.00"]

@@ -124,6 +124,22 @@ class TestIsSpecialTokenOracle:
     def test_matches_categories(self, token):
         assert is_special_token(token) == (bool(token) and all(map(is_ps, token)))
 
+    def test_every_ascii_character(self):
+        """The ASCII branch decides from the same class as the tokenizer's fast path."""
+        for ch in ASCII:
+            assert is_special_token(ch) == is_ps(ch), repr(ch)
+
+    @settings(max_examples=500)
+    # About half the characters come from string.punctuation, so all-punctuation
+    # tokens are common.
+    @given(st.text(alphabet=st.sampled_from(ASCII) | st.sampled_from(string.punctuation),
+                   max_size=8))
+    @example("")
+    @example(string.punctuation)
+    @example("a.")
+    def test_matches_categories_on_ascii(self, token):
+        assert is_special_token(token) == (bool(token) and all(map(is_ps, token)))
+
     def test_no_alphanumeric_character_is_punctuation_or_symbol(self):
         """is_special_token's shortcut, over every code point of this Python."""
         chars = map(chr, range(sys.maxunicode + 1))
