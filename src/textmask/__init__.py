@@ -6,8 +6,8 @@ frequency-based strategies, and the reports used to compare how each
 strategy reshapes a corpus.
 
 The report names, and ``textmask.analysis`` itself, are imported on first
-use (PEP 562), so masking never loads the report code or its ``csv`` and
-``decimal`` imports.
+use (PEP 562), so masking never loads the report code or its ``csv``
+import.
 """
 
 import importlib

@@ -19,7 +19,6 @@ import csv
 import heapq
 import math
 from collections import Counter
-from decimal import ROUND_HALF_UP, Decimal
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
@@ -36,9 +35,26 @@ STANDARD_BUDGET_ROWS = ((0.0, 32), (0.75, 32), (0.75, 16), (0.75, 8), (0.75, 6),
 
 
 def round_half_up(x: float, ndigits: int = 2) -> float:
-    """Decimal half-up rounding (5 rounds away from zero), for report output."""
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(str(x)).quantize(q, rounding=ROUND_HALF_UP))
+    """Decimal half-up rounding (5 rounds away from zero), for report output.
+
+    Rounds the digits of ``str(x)`` in integers, so it equals
+    ``float(Decimal(str(x)).quantize(Decimal(1).scaleb(-ndigits), ROUND_HALF_UP))``
+    without importing ``decimal``. ValueError if ``x`` is not finite.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"cannot round {x!r}")
+    mantissa, _, exponent = str(x).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    # |x| = digits * 10**-shift, then rounded to a whole number of 10**-ndigits.
+    digits = abs(int(whole + fraction))
+    shift = len(fraction) - int(exponent or 0) - ndigits
+    if shift > 0:
+        unit = 10**shift
+        digits = (2 * digits + unit) // (2 * unit)
+    else:
+        digits *= 10**-shift
+    value = digits / 10**ndigits if ndigits >= 0 else float(digits * 10**-ndigits)
+    return math.copysign(value, x)
 
 
 # --- word-frequency distribution --------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -305,26 +306,31 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _analyze_corpus(args: argparse.Namespace):
-    """Prepare the corpus once; return it and one lazy, one-shot output stream per strategy."""
+    """Prepare the corpus once: its token tuples, its tag tuples (each None
+    unless tags are wanted) and one lazy, one-shot output stream per strategy."""
     # A given table is read first, as ``mask`` and ``demo`` read it, even
     # when no chosen strategy uses it.
     table = load_frequency_table(args.freq_table) if args.freq_table else None
     want_tags = "syntax" in args.strategies or args.report == "pos"
     # Records share one str per word type, so the corpus held across the
-    # strategies costs a reference per token, not a string per token.
+    # strategies costs a reference per token, not a string per token. A
+    # tuple built from a list is allocated at its exact size.
     words: dict[str, str] = {}
-    prepared = [(list(map(words.setdefault, tokens, tokens)), tags)
-                for _, tokens, tags in _prepared(args, _load_lexicon_arg(args), want_tags)]
+    token_tuples, tag_tuples = [], []
+    for _, tokens, tags in _prepared(args, _load_lexicon_arg(args), want_tags):
+        token_tuples.append(tuple(list(map(words.setdefault, tokens, tokens))))
+        tag_tuples.append(None if tags is None else tuple(tags))
+    del words
     if table is None and FREQUENCY_STRATEGIES.intersection(args.strategies):
         # Without --freq-table, the frequency strategies read this corpus's own counts.
-        table = build_frequency_table(tokens for tokens, _ in prepared)
+        table = build_frequency_table(token_tuples)
 
     def stream(config: MaskingConfig) -> Iterator[MaskedOutput]:
-        for i, (tokens, tags) in enumerate(prepared):
+        for i, (tokens, tags) in enumerate(zip(token_tuples, tag_tuples)):
             yield _mask(tokens, tags, config, i)
 
-    return prepared, {strategy: stream(_config(args, strategy, table))
-                      for strategy in args.strategies}
+    return token_tuples, tag_tuples, {strategy: stream(_config(args, strategy, table))
+                                      for strategy in args.strategies}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -362,13 +368,12 @@ def _report_csv(args: argparse.Namespace) -> str:
         analysis.write_stats_csv(
             analysis.corpus_stats(tokens for _, tokens, _ in _prepared(args)), fh)
     else:
-        prepared, masked = _analyze_corpus(args)
+        token_tuples, tag_tuples, masked = _analyze_corpus(args)
         if args.report == "dist":
-            analysis.write_distribution_csv(analysis.distribution_report(
-                [tokens for tokens, _ in prepared], masked, args.top_n), fh)
+            analysis.write_distribution_csv(
+                analysis.distribution_report(token_tuples, masked, args.top_n), fh)
         elif args.report == "pos":
-            analysis.write_pos_csv(
-                analysis.pos_share_report([tags for _, tags in prepared], masked), fh)
+            analysis.write_pos_csv(analysis.pos_share_report(tag_tuples, masked), fh)
         else:
             assert args.report == "slots"
             analysis.write_slots_csv(
@@ -390,7 +395,14 @@ def _print_table(text: str) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Stdout's reader has gone (``| head``). As the ``signal`` docs advise,
+        # point stdout at devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,11 @@
 import io
 import math
 import random
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from textmask.analysis import (
     corpus_stats,
@@ -35,6 +38,27 @@ class TestRounding:
         assert round_half_up(24.122807) == 24.12
         assert round_half_up(97.5, 0) == 98.0
         assert round_half_up(96.5, 0) == 97.0
+
+    # Any finite float, and the thousandths, whose fives are ties at ndigits=2.
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-10**6, 10**6).map(lambda i: i / 1000)),
+           st.integers(0, 3))
+    @example(-0.0, 2)
+    @example(-0.004, 2)
+    @example(2.675, 2)
+    @example(5e-324, 3)
+    @example(1.7976931348623157e308, 3)
+    def test_equals_the_decimal_definition(self, x, ndigits):
+        # Precision enough for every finite float; the default 28 digits
+        # raise InvalidOperation from |x| near 1e25 up, and agree below.
+        decimal = Decimal(str(x)).quantize(Decimal(1).scaleb(-ndigits), ROUND_HALF_UP,
+                                           Context(prec=400))
+        assert repr(round_half_up(x, ndigits)) == repr(float(decimal))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, x):
+        with pytest.raises(ValueError, match="cannot round"):
+            round_half_up(x)
 
 
 class TestDistributionReport:

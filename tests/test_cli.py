@@ -809,11 +809,15 @@ class TestHelp:
 class TestModuleEntrypoint:
     """``python -m textmask``, the way the benchmark launches every command."""
 
-    def textmask(self, cwd, *argv):
+    def argv_env(self, *argv):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "textmask", *argv], cwd=cwd, env=env,
-                              capture_output=True, text=True)
+        return [sys.executable, "-m", "textmask", *argv], env
+
+    def textmask(self, cwd, *argv):
+        argv, env = self.argv_env(*argv)
+        return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True,
+                              encoding="utf-8")
 
     def test_success_exits_zero(self, tmp_path):
         result = self.textmask(tmp_path, "analyze", "budget")
@@ -834,6 +838,19 @@ class TestModuleEntrypoint:
         assert result.stderr.startswith("usage: textmask mask ")
         assert "argument --threads: must be at least 1" in result.stderr
         assert not (tmp_path / "m.txt").exists()
+
+    def test_closed_stdout_is_not_an_error(self, tmp_path):
+        # 6000 ranked words print far more than a pipe holds, so the command
+        # is still printing when its reader goes, as under ``| head -1``.
+        corpus = write_corpus(tmp_path / "c.txt", [f"a{i} b{i} c{i}" for i in range(2000)])
+        argv, env = self.argv_env("analyze", "dist", "--input", corpus, "--strategies",
+                                  "truncation", "--top-n", "6000")
+        with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().split()[:2] == [b"rank", b"word"]
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait() == 1
 
 
 class TestAnalyzeMemory:
@@ -862,9 +879,33 @@ class TestAnalyzeMemory:
     def test_prepared_corpus_holds_one_string_per_word_type(self, tmp_path, lines, extra):
         corpus = write_corpus(tmp_path / "c.txt", lines)
         args = build_parser().parse_args(["analyze", "pos", "--input", corpus, *extra])
-        prepared, _ = _analyze_corpus(args)
+        token_tuples, _, _ = _analyze_corpus(args)
         held = {}
-        for tokens, _ in prepared:
+        for tokens in token_tuples:
             for token in tokens:
                 assert held.setdefault(token, token) is token
-        assert sum(len(tokens) for tokens, _ in prepared) == 9 and len(held) == 5
+        assert sum(len(tokens) for tokens in token_tuples) == 9 and len(held) == 5
+
+    @pytest.mark.parametrize("extra,tagged", [
+        (["pos"], True),
+        (["pos", "--pretagged"], True),
+        (["dist", "--strategies", "truncation,frequency"], False),
+        (["slots", "--strategies", "syntax"], True),
+    ])
+    def test_prepared_corpus_holds_exact_size_sequences(self, tmp_path, extra, tagged):
+        # Long captions, so a list grown by append would have spare slots.
+        words = ["the", "big", "dog", "runs", "far", "and", "a", "cat", "sleeps", "in",
+                 "the", "warm", "sun", "today"]
+        if "--pretagged" in extra:
+            words = [f"{w}/NN" for w in words]
+        corpus = write_corpus(tmp_path / "c.txt",
+                              [" ".join(words[:n]) for n in (1, 5, 11, 14)] + [""])
+        args = build_parser().parse_args(["analyze", extra[0], "--input", corpus, *extra[1:]])
+        token_tuples, tag_tuples, _ = _analyze_corpus(args)
+        assert [len(tokens) for tokens in token_tuples] == [1, 5, 11, 14, 0]
+        if tagged:
+            assert [len(tags) for tags in tag_tuples] == [1, 5, 11, 14, 0]
+        else:
+            assert tag_tuples == [None] * 5
+        for seq in [*token_tuples, *filter(None, tag_tuples)]:
+            assert sys.getsizeof(seq) == sys.getsizeof(tuple(seq))

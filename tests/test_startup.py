@@ -4,12 +4,12 @@ Every command the benchmark runs is guarded: ``mask`` with ``frequency``,
 ``swclip`` and ``syntax``, ``freq`` and a ``syntax`` mask on ``.jsonl.gz``,
 ``analyze dist | pos | slots``, a sharded ``mask``, and ``import textmask``
 itself. Of the ``UNUSED`` modules, each loads exactly the ones its work
-needs: the report code with ``csv`` and ``decimal`` for ``analyze``, JSON
+needs: the report code with ``csv`` for ``analyze``, JSON
 and gzip for ``.jsonl.gz``, ``shard`` for ``--threads``, and
 ``unicodedata`` only where a caption holds non-ASCII text that is not all
 letters and digits: ASCII punctuation is split, tagged and filtered out
 without it.
-None of them loads ``dataclasses`` or ``inspect``.
+None of them loads ``dataclasses``, ``inspect`` or ``decimal``.
 
 Every module that ``python -c pass`` already loads is subtracted, since
 ``site`` differs between hosts. For a command, so is every module that a
@@ -32,7 +32,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Modules that a plain-corpus, one-process mask or freq run has no use for.
 UNUSED = {"textmask.analysis", "textmask.shard", "csv", "decimal", "json", "gzip",
           "dataclasses", "inspect", "unicodedata"}
-ANALYZE = {"textmask.analysis", "csv", "decimal"}
+ANALYZE = {"textmask.analysis", "csv"}
 JSONL_GZ = {"json", "gzip", "unicodedata"}
 
 PROBE = "import sys\n{body}\nsys.stdout.write('\\0' + '\\n'.join(sys.modules))\n"
@@ -43,7 +43,7 @@ def fresh(body, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", PROBE.format(body=body)], cwd=cwd, env=env,
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, encoding="utf-8")
     assert result.returncode == 0, result.stderr
     out, _, modules = result.stdout.rpartition("\0")
     return out, set(modules.split("\n"))
