@@ -399,8 +399,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # Stdout's reader has gone (``| head``). As the ``signal`` docs advise,
-        # point stdout at devnull, so the flush at exit cannot fail again.
+        # Stdout's reader has gone (``| head``); the flush above raises it here,
+        # not at exit. As the ``signal`` docs advise, point stdout at devnull,
+        # so that the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as exc:
