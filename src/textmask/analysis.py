@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from collections import Counter
+from collections import Counter, _count_elements
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
@@ -182,17 +182,18 @@ def pos_share_report(
     rows = [PosShareRow("before", _count_categories(tags))]
     for strategy, outputs in masked.items():
         kept_tags = (
-            [tags[r][i] for i in output.kept_indices]
+            map(tags[r].__getitem__, output.kept_indices)
             for r, output in enumerate(_exactly(outputs, len(tags), "tag lists", strategy))
         )
         rows.append(PosShareRow(strategy, _count_categories(kept_tags)))
     return PosShareReport(rows)
 
 
-def _count_categories(tag_lists: Iterable[Sequence[str]]) -> dict[str, int]:
-    counts: Counter[str] = Counter()
+def _count_categories(tag_lists: Iterable[Iterable[str]]) -> dict[str, int]:
+    # Counter.update's own helper, without its per-call Mapping check.
+    counts: dict[str, int] = {}
     for tag_list in tag_lists:
-        counts.update(tag_list)
+        _count_elements(counts, tag_list)
     unknown = set(counts) - set(CATEGORIES)
     if unknown:
         raise ValueError(f"unknown POS categories: {sorted(unknown)}")

@@ -39,7 +39,7 @@ from .maskers import (
     apply_mask,
     record_seed,
 )
-from .postag import DEFAULT_LEXICON, TagMemo, load_lexicon_file, load_pretagged, tag
+from .postag import CATEGORIES, DEFAULT_LEXICON, TagMemo, load_lexicon_file, load_pretagged, tag
 from .tokenizer import tokenize
 
 # --- corpus masking pipeline --------------------------------------------------
@@ -305,9 +305,37 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+# ``analyze`` holds each record's tags as one byte per token: the tag's index
+# in CATEGORIES, which is also the syntax strategy's keep priority.
+_TAG_CODE = {category: code for code, category in enumerate(CATEGORIES)}.__getitem__
+
+
+def _decode_tags(codes: bytes) -> list[str]:
+    return [CATEGORIES[code] for code in codes]
+
+
+class _DecodedTags:
+    """Read-only view of tag-code records, each read as its list of tags."""
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: Sequence[bytes]) -> None:
+        self._codes = codes
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, index: int) -> list[str]:
+        return _decode_tags(self._codes[index])
+
+    def __iter__(self) -> Iterator[list[str]]:
+        return map(_decode_tags, self._codes)
+
+
 def _analyze_corpus(args: argparse.Namespace):
-    """Prepare the corpus once: its token tuples, its tag tuples (each None
-    unless tags are wanted) and one lazy, one-shot output stream per strategy."""
+    """Prepare the corpus once: its token tuples, its tag codes (one bytes
+    per record, None unless tags are wanted) and one lazy, one-shot output
+    stream per strategy."""
     # A given table is read first, as ``mask`` and ``demo`` read it, even
     # when no chosen strategy uses it.
     table = load_frequency_table(args.freq_table) if args.freq_table else None
@@ -316,21 +344,23 @@ def _analyze_corpus(args: argparse.Namespace):
     # strategies costs a reference per token, not a string per token. A
     # tuple built from a list is allocated at its exact size.
     words: dict[str, str] = {}
-    token_tuples, tag_tuples = [], []
+    token_tuples, tag_codes = [], []
     for _, tokens, tags in _prepared(args, _load_lexicon_arg(args), want_tags):
         token_tuples.append(tuple(list(map(words.setdefault, tokens, tokens))))
-        tag_tuples.append(None if tags is None else tuple(tags))
+        tag_codes.append(None if tags is None else bytes(map(_TAG_CODE, tags)))
     del words
     if table is None and FREQUENCY_STRATEGIES.intersection(args.strategies):
         # Without --freq-table, the frequency strategies read this corpus's own counts.
         table = build_frequency_table(token_tuples)
 
     def stream(config: MaskingConfig) -> Iterator[MaskedOutput]:
-        for i, (tokens, tags) in enumerate(zip(token_tuples, tag_tuples)):
-            yield _mask(tokens, tags, config, i)
+        # Only syntax reads tags; the others get None, which apply_mask ignores.
+        syntax = config.strategy == "syntax"
+        for i, (tokens, codes) in enumerate(zip(token_tuples, tag_codes)):
+            yield _mask(tokens, _decode_tags(codes) if syntax else None, config, i)
 
-    return token_tuples, tag_tuples, {strategy: stream(_config(args, strategy, table))
-                                      for strategy in args.strategies}
+    return token_tuples, tag_codes, {strategy: stream(_config(args, strategy, table))
+                                     for strategy in args.strategies}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -368,12 +398,13 @@ def _report_csv(args: argparse.Namespace) -> str:
         analysis.write_stats_csv(
             analysis.corpus_stats(tokens for _, tokens, _ in _prepared(args)), fh)
     else:
-        token_tuples, tag_tuples, masked = _analyze_corpus(args)
+        token_tuples, tag_codes, masked = _analyze_corpus(args)
         if args.report == "dist":
             analysis.write_distribution_csv(
                 analysis.distribution_report(token_tuples, masked, args.top_n), fh)
         elif args.report == "pos":
-            analysis.write_pos_csv(analysis.pos_share_report(tag_tuples, masked), fh)
+            analysis.write_pos_csv(
+                analysis.pos_share_report(_DecodedTags(tag_codes), masked), fh)
         else:
             assert args.report == "slots"
             analysis.write_slots_csv(

@@ -18,7 +18,7 @@ map; the maskers and ``mask_probability`` all call it.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, _count_elements
 from typing import IO, Iterable, Iterator, Sequence
 
 from ._record import Record
@@ -93,13 +93,15 @@ def build_frequency_table(corpus: Iterable[Sequence[str]]) -> FrequencyTable:
     Raises ValueError on an empty corpus (zero tokens overall): relative
     frequencies would be undefined.
     """
-    counts: Counter[str] = Counter()
+    # Counted straight into the table's own dict, in first-seen order, by the
+    # helper that Counter.update uses; a Counter would have to be copied.
+    counts: dict[str, int] = {}
     for tokens in corpus:
-        counts.update(tokens)
+        _count_elements(counts, tokens)
     total = sum(counts.values())
     if total == 0:
         raise ValueError("empty corpus")
-    return FrequencyTable(dict(counts), total)
+    return FrequencyTable(counts, total)
 
 
 def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:

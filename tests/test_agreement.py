@@ -4,7 +4,8 @@
 ``dist``, ``pos`` and ``slots`` CSVs are rebuilt from ``mask``'s outputs
 with the ``analysis`` writers and must equal ``analyze``'s bytes. The
 built-in tagger tags each word on its own, so the tags of the kept words
-are ``tag(kept)``.
+are ``tag(kept)``. In the ``--pretagged`` corpus each word always carries
+the same tag, so the tags of the kept words are looked up in that map.
 """
 
 import io
@@ -17,7 +18,7 @@ from textmask import analysis
 from textmask.cli import main
 from textmask.corpus_io import read_corpus
 from textmask.maskers import STRATEGIES, MaskedOutput
-from textmask.postag import CATEGORIES, DEFAULT_LEXICON, tag
+from textmask.postag import CATEGORIES, DEFAULT_LEXICON, penn_to_coarse, tag
 from textmask.tokenizer import tokenize
 
 K = 5
@@ -102,3 +103,42 @@ def test_slots_agrees_with_mask(runs):
                                   for s, words in kept.items()}, fh)
 
     assert analyze(tmp, common, "slots") == rebuilt(tmp, outputs, write)
+
+
+# Each word's one Penn tag in the pre-tagged corpus; every category occurs.
+PENN = {"the": "DT", "a": "DT", "dog": "NN", "cats": "NNS", "beach": "NNP", "red": "JJ",
+        "bigger": "JJR", "runs": "VBZ", "jumped": "VBD", "sleeping": "VBG", "on": "IN",
+        ",": ",", "(": "-LRB-", "Mat": "NN"}
+
+
+def test_pretagged_pos_agrees_with_mask(tmp_path):
+    rng = random.Random(7)
+    words = list(PENN)
+    lines = [" ".join(f"{w}/{PENN[w]}" for w in rng.choices(words, k=rng.randint(1, 14)))
+             for _ in range(200)]
+    lines[42] = ""
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = tmp_path / "c.freq"
+    assert main(["freq", "--pretagged", "--input", str(corpus), "--output", str(table)]) == 0
+    common = ["--pretagged", "--input", str(corpus), "--freq-table", str(table), *MASKING]
+    kept = {}
+    for strategy in STRATEGIES:
+        out = tmp_path / f"{strategy}.txt"
+        assert main(["mask", "--strategy", strategy, *common, "--output", str(out)]) == 0
+        kept[strategy] = [line.split() for line in out.read_text(encoding="utf-8").split("\n")[:-1]]
+        assert len(kept[strategy]) == len(lines)
+
+    # Words are lowercased as they are read.
+    category = {w.lower(): penn_to_coarse(t) for w, t in PENN.items()}
+
+    def counts(word_lists):
+        tags = Counter(category[w] for words in word_lists for w in words)
+        return {c: tags[c] for c in CATEGORIES}
+
+    before = [[pair.rpartition("/")[0].lower() for pair in line.split()] for line in lines]
+    rows = [analysis.PosShareRow("before", counts(before))]
+    rows += [analysis.PosShareRow(s, counts(words)) for s, words in kept.items()]
+    fh = io.StringIO()
+    analysis.write_pos_csv(analysis.PosShareReport(rows), fh)
+    assert analyze(tmp_path, common, "pos") == fh.getvalue().encode("utf-8")

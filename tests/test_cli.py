@@ -13,7 +13,15 @@ from pathlib import Path
 import pytest
 
 from textmask import analysis
-from textmask.cli import _analyze_corpus, build_parser, main
+from textmask.cli import (
+    _analyze_corpus,
+    _decode_tags,
+    _DecodedTags,
+    _load_lexicon_arg,
+    build_parser,
+    main,
+    prepare_record,
+)
 from textmask.freq import DEFAULT_THRESHOLD
 from textmask.maskers import STRATEGIES, MaskingConfig
 
@@ -901,11 +909,34 @@ class TestAnalyzeMemory:
         corpus = write_corpus(tmp_path / "c.txt",
                               [" ".join(words[:n]) for n in (1, 5, 11, 14)] + [""])
         args = build_parser().parse_args(["analyze", extra[0], "--input", corpus, *extra[1:]])
-        token_tuples, tag_tuples, _ = _analyze_corpus(args)
+        token_tuples, tag_codes, _ = _analyze_corpus(args)
         assert [len(tokens) for tokens in token_tuples] == [1, 5, 11, 14, 0]
         if tagged:
-            assert [len(tags) for tags in tag_tuples] == [1, 5, 11, 14, 0]
+            assert [type(codes) for codes in tag_codes] == [bytes] * 5
+            assert [len(codes) for codes in tag_codes] == [1, 5, 11, 14, 0]
         else:
-            assert tag_tuples == [None] * 5
-        for seq in [*token_tuples, *filter(None, tag_tuples)]:
+            assert tag_codes == [None] * 5
+        for seq in token_tuples:
             assert sys.getsizeof(seq) == sys.getsizeof(tuple(seq))
+
+    @pytest.mark.parametrize("lines,extra", [
+        (["the big dog runs", "", "a famous red bus, parked!", "dog's (big) café"], []),
+        (["the/DT big/JJ dog/NNS runs/VBZ", "", "a/DT red/JJR bus/NN ,/, parked/VBN",
+          "dog's/NNP (big)/-LRB- café/FW"], ["--pretagged"]),
+        (["the big dog runs", "", "a famous red bus, parked!", "dog's (big) café"],
+         ["--lexicon", "lex.tsv"]),
+    ], ids=["plain", "pretagged", "lexicon"])
+    def test_tag_codes_decode_to_the_prepared_tags(self, tmp_path, monkeypatch, lines, extra):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lex.tsv").write_text("dog\tJJ\nruns\tNN\nbus\tVBD\nthe\tNN\n",
+                                         encoding="utf-8")
+        corpus = write_corpus(tmp_path / "c.txt", lines)
+        args = build_parser().parse_args(["analyze", "pos", "--input", corpus, *extra])
+        _, tag_codes, _ = _analyze_corpus(args)
+        lexicon = _load_lexicon_arg(args)
+        expected = [prepare_record(line, args.pretagged, lexicon, want_tags=True)[1]
+                    for line in lines]
+        assert [_decode_tags(codes) for codes in tag_codes] == expected
+        view = _DecodedTags(tag_codes)
+        assert len(view) == len(lines)
+        assert list(view) == [view[r] for r in range(len(lines))] == expected
