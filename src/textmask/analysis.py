@@ -128,6 +128,10 @@ def _exactly(
     for count, output in enumerate(outputs, start=1):
         if count <= expected:
             yield output
+    _check_count(expected, count, what, strategy)
+
+
+def _check_count(expected: int, count: int, what: str, strategy: str) -> None:
     if count != expected:
         raise ValueError(
             f"record count mismatch: {expected} {what} vs {count} for strategy {strategy!r}"
@@ -173,27 +177,53 @@ class PosShareReport(Record):
         raise KeyError(label)
 
 
+# What ``next`` returns for a stream that has run out.
+_END = object()
+
+
 def pos_share_report(
     tags: Sequence[Sequence[str]],
     masked: Mapping[str, Iterable[MaskedOutput]],
 ) -> PosShareReport:
     """Category counts over all tokens ("before" row) and over each
-    strategy's retained tokens, reading each strategy's outputs once."""
-    rows = [PosShareRow("before", _count_categories(tags))]
-    for strategy, outputs in masked.items():
-        kept_tags = (
-            map(tags[r].__getitem__, output.kept_indices)
-            for r, output in enumerate(_exactly(outputs, len(tags), "tag lists", strategy))
-        )
-        rows.append(PosShareRow(strategy, _count_categories(kept_tags)))
+    strategy's retained tokens, reading each strategy's outputs once.
+
+    The strategies' streams are read in lockstep, record by record, so
+    each ``tags[r]`` is read once for every row. An error that a stream
+    raises therefore reaches the caller before any count check, even when
+    an earlier strategy's stream has already run short. The counts are
+    checked after the pass; a mismatch names the first strategy, in
+    mapping order, whose stream did not hold one output per tag list.
+    """
+    expected = len(tags)
+    before: dict[str, int] = {}
+    after: list[dict[str, int]] = [{} for _ in masked]
+    streams = [iter(outputs) for outputs in masked.values()]
+    # The record at which each stream ran out, or None while it lasts.
+    ended: list[int | None] = [None] * len(streams)
+    for r in range(expected):
+        row = tags[r]
+        # Counter.update's own helper, without its per-call Mapping check.
+        _count_elements(before, row)
+        for s, (outputs, counts) in enumerate(zip(streams, after)):
+            output = next(outputs, _END)
+            if output is _END:
+                if ended[s] is None:
+                    ended[s] = r
+                    # Never resumed, as a for loop never resumes an iterator.
+                    streams[s] = iter(())
+                continue
+            _count_elements(counts, map(row.__getitem__, output.kept_indices))
+    rows = [PosShareRow("before", _categories(before))]
+    for strategy, outputs, counts, end in zip(masked, streams, after, ended):
+        count = end if end is not None else expected + sum(1 for _ in outputs)
+        _check_count(expected, count, "tag lists", strategy)
+        rows.append(PosShareRow(strategy, _categories(counts)))
     return PosShareReport(rows)
 
 
-def _count_categories(tag_lists: Iterable[Iterable[str]]) -> dict[str, int]:
-    # Counter.update's own helper, without its per-call Mapping check.
-    counts: dict[str, int] = {}
-    for tag_list in tag_lists:
-        _count_elements(counts, tag_list)
+def _categories(counts: dict[str, int]) -> dict[str, int]:
+    """``counts`` of every category, in CATEGORIES order; ValueError on any other tag."""
     unknown = set(counts) - set(CATEGORIES)
     if unknown:
         raise ValueError(f"unknown POS categories: {sorted(unknown)}")

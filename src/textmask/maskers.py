@@ -24,6 +24,7 @@ truncation and syntax stay fixed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Sequence
@@ -57,15 +58,21 @@ def _splitmix64(x: int) -> int:
 
 
 def record_seed(seed: int, index: int, epoch: int = 0) -> int:
-    """Per-record seed derived from the run seed, epoch and record index.
+    """Per-record seed derived from the run seed, epoch and record index:
+    ``_splitmix64(_splitmix64(_splitmix64(seed) ^ epoch) ^ index)``, each
+    argument taken modulo 2**64.
 
     Splittable-hash mixing keeps the streams independent of processing
-    order, so any parallel schedule reproduces the serial output.
+    order, so any parallel schedule reproduces the serial output. The
+    ``(seed, epoch)`` key is worked out once per pair and reused (the 32
+    pairs used last are kept), so a record costs one splitmix64 round.
     """
-    h = _splitmix64(seed & _MASK64)
-    h = _splitmix64(h ^ (epoch & _MASK64))
-    h = _splitmix64(h ^ (index & _MASK64))
-    return h
+    return _splitmix64(_run_key(seed & _MASK64, epoch & _MASK64) ^ (index & _MASK64))
+
+
+@functools.lru_cache(maxsize=32)
+def _run_key(seed: int, epoch: int) -> int:
+    return _splitmix64(_splitmix64(seed) ^ epoch)
 
 
 class MaskedOutput(Record):

@@ -2,10 +2,11 @@
 
 ``test_golden.py`` pins each command's output on its own; here the
 ``dist``, ``pos`` and ``slots`` CSVs are rebuilt from ``mask``'s outputs
-with the ``analysis`` writers and must equal ``analyze``'s bytes. The
-built-in tagger tags each word on its own, so the tags of the kept words
-are ``tag(kept)``. In the ``--pretagged`` corpus each word always carries
-the same tag, so the tags of the kept words are looked up in that map.
+with the ``analysis`` writers and must equal ``analyze``'s bytes, for all
+six strategies and for a subset in another order. The built-in tagger
+tags each word on its own, so the tags of the kept words are
+``tag(kept)``. In the ``--pretagged`` corpus each word always carries the
+same tag, so the tags of the kept words are looked up in that map.
 """
 
 import io
@@ -14,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from textmask import analysis
+from textmask import analysis, cli
 from textmask.cli import main
 from textmask.corpus_io import read_corpus
 from textmask.maskers import STRATEGIES, MaskedOutput
@@ -103,6 +104,37 @@ def test_slots_agrees_with_mask(runs):
                                   for s, words in kept.items()}, fh)
 
     assert analyze(tmp, common, "slots") == rebuilt(tmp, outputs, write)
+
+
+# Seeded strategies, one unseeded, in an order of their own: each stream
+# must still mask record i with record i's seed.
+SUBSET = ("swclip", "truncation", "block", "random")
+
+
+@pytest.mark.parametrize("agrees", [test_dist_agrees_with_mask, test_pos_agrees_with_mask,
+                                    test_slots_agrees_with_mask], ids=["dist", "pos", "slots"])
+def test_seeded_subset_agrees_with_mask(runs, agrees):
+    tmp, common, outputs = runs
+    agrees((tmp, [*common, "--strategies", ",".join(SUBSET)], {s: outputs[s] for s in SUBSET}))
+
+
+@pytest.mark.parametrize("report", ["dist", "pos", "slots"])
+@pytest.mark.parametrize("strategies, seeded", [("truncation,syntax", False),
+                                                (",".join(SUBSET), True)])
+def test_analyze_derives_each_seed_once(runs, monkeypatch, report, strategies, seeded):
+    """No seed without a seeded strategy; otherwise one per record, however
+    many seeded strategies read it."""
+    tmp, common, _ = runs
+    calls = []
+    real = cli.record_seed
+
+    def record_seed(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "record_seed", record_seed)
+    analyze(tmp, [*common, "--strategies", strategies], report)
+    assert calls == ([(3, i, 2) for i in range(300)] if seeded else [])
 
 
 # Each word's one Penn tag in the pre-tagged corpus; every category occurs.

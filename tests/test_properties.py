@@ -7,10 +7,11 @@ the same (tokens, config, seed). Frequency tables built from such tokens
 must survive a dump/parse round trip unchanged and be written in
 descending-count order, ties lexicographic, and merging them must not
 depend on order. The token-to-probability lookup must equal the formula
-applied word by word. The distribution report's top-N rows must equal a full
-sort's first N. Tagging through a memo and the syntax ranking must
-agree with their direct definitions, and the jsonl line formatter with
-``json.dumps``.
+applied word by word. ``record_seed`` must equal three splitmix64 rounds
+written out here, however its calls alternate between runs. The
+distribution report's top-N rows must equal a full sort's first N.
+Tagging through a memo and the syntax ranking must agree with their
+direct definitions, and the jsonl line formatter with ``json.dumps``.
 """
 
 import io
@@ -80,6 +81,49 @@ def test_every_strategy_keeps_an_ordered_subsequence_of_budget_length(
             assert len(output.kept) == min(n, k)
         assert output.source_length == n
         assert apply_mask(tokens, config, tags=tags, seed=record) == output
+
+
+M64 = 2**64
+
+
+def splitmix64(x):
+    """SplitMix64's output for state ``x`` (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = (x + 0x9E3779B97F4A7C15) % M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % M64
+    return z ^ (z >> 31)
+
+
+def reference_record_seed(seed, index, epoch):
+    """``record_seed`` as its docstring defines it: three rounds, each
+    argument taken modulo 2**64."""
+    return splitmix64(splitmix64(splitmix64(seed % M64) ^ epoch % M64) ^ index % M64)
+
+
+def test_reference_splitmix64_is_the_published_generator():
+    # The first output of SplitMix64 seeded with 0.
+    assert splitmix64(0) == 0xE220A8397B1DCDAF
+
+
+@given(seed=seeds, index=seeds, epoch=seeds)
+@example(seed=-1, index=-1, epoch=-1)
+@example(seed=2**64, index=2**64 + 5, epoch=2**65 - 1)
+def test_record_seed_equals_its_definition(seed, index, epoch):
+    assert record_seed(seed, index, epoch) == reference_record_seed(seed, index, epoch)
+
+
+@given(pairs=st.lists(st.tuples(seeds, seeds), min_size=2, max_size=48, unique=True),
+       indices=st.lists(seeds, min_size=1, max_size=3))
+# Distinct pairs that are equal modulo 2**64, next to pairs that are not.
+@example(pairs=[(-1, 0), (2**64 - 1, 0), (3, 2**64 + 2), (3, 2), (3, 1)], indices=[0, 7])
+def test_record_seed_alternating_between_runs_equals_its_definition(pairs, indices):
+    """Calls that move from one (seed, epoch) pair to the next and back,
+    over more pairs than a small cache holds, each get their own pair's
+    seeds."""
+    for _ in range(2):
+        for index in indices:
+            for seed, epoch in pairs:
+                assert record_seed(seed, index, epoch) == reference_record_seed(seed, index, epoch)
 
 
 @given(corpus=st.lists(token_lists, min_size=1, max_size=5).filter(any))

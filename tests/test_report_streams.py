@@ -1,6 +1,10 @@
 """distribution_report and pos_share_report read each strategy's outputs
 as a one-shot stream: same reports as from lists, same count checks, and
-errors raised by the stream reach the caller unchanged."""
+errors raised by the stream reach the caller unchanged. pos_share_report
+reads its streams in lockstep, so a stream's error wins over an earlier
+stream that ran short, and its count checks follow mapping order."""
+
+from itertools import islice
 
 import pytest
 
@@ -88,4 +92,22 @@ class TestStreamErrorsPropagate:
         masked = streams(corpus)
         masked["syntax"] = failing(masked["syntax"], 7)
         with pytest.raises(ValueError, match="^masker failed on record 7$"):
+            pos_share_report(corpus[1], masked)
+
+
+class TestPosShareLockstep:
+    def test_stream_error_wins_over_an_earlier_short_stream(self, corpus):
+        masked = streams(corpus)
+        masked["random"] = islice(masked["random"], 5)
+        masked["syntax"] = failing(masked["syntax"], 7)
+        with pytest.raises(ValueError, match="^masker failed on record 7$"):
+            pos_share_report(corpus[1], masked)
+
+    def test_count_check_names_the_first_mismatch_in_mapping_order(self, corpus):
+        # swclip runs out first, but block comes first in the mapping.
+        masked = streams(corpus)
+        masked["block"] = long(masked["block"])
+        masked["swclip"] = islice(masked["swclip"], 5)
+        with pytest.raises(ValueError, match="record count mismatch: 300 tag lists vs 301 "
+                                             "for strategy 'block'"):
             pos_share_report(corpus[1], masked)
